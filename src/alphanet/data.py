@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    DataError,
     FormatError,
     IntegrityError,
     NumericError,
@@ -436,10 +435,3 @@ def class_train_indices(ds: FeatureDataset, class_id: int) -> np.ndarray:
     """Train-partition sample indices of one class."""
     idx = ds.indices(TRAIN)
     return idx[ds.labels[idx] == class_id]
-
-
-def require_nonempty_train(ds: FeatureDataset) -> None:
-    counts = ds.train_counts()
-    empty = np.flatnonzero(counts == 0)
-    if empty.size:
-        raise DataError(f"class {int(empty[0])} has no train samples")

@@ -218,6 +218,7 @@ def train_baseline(
             x, y = train_x[idx], train_y[idx]
             probs = softmax(x @ weights.T + biases)
             picked = probs[np.arange(len(idx)), y]
+            # Kept as -log(softmax): at a diverging lr it is inf, the divergence signal.
             epoch_loss += float(-np.log(picked).sum())
             g = probs
             g[np.arange(len(idx)), y] -= 1.0

@@ -29,7 +29,7 @@ from .data import (
     read_tensor,
     write_tensor,
 )
-from .errors import ConfigError, IntegrityError, ShapeError
+from .errors import ConfigError, IntegrityError, NumericError, ShapeError, TrainingError
 from .neighbors import (
     NeighborSet,
     base_distances,
@@ -38,12 +38,15 @@ from .neighbors import (
     pca_fit,
 )
 from .numerics import (
-    GradTape,
-    Node,
     abs_normalize,
+    abs_normalize_vjp,
     affine,
+    affine_vjp,
     cap_floor_clamp,
+    cap_floor_clamp_vjp,
     leaky_relu,
+    leaky_relu_vjp,
+    mean_softmax_xent,
     sgd_momentum_step,
 )
 
@@ -94,8 +97,28 @@ def clamp_alpha(a: AlphaVector, gamma: float, k: int | None = None) -> AlphaVect
         k = n - 1
     elif k != n - 1:
         raise ShapeError(f"alpha vector of length {n} disagrees with k={k}")
-    floor = (1.0 - gamma) / k if k > 0 else 0.0
-    return AlphaVector(values=cap_floor_clamp(a.values, gamma, floor), stage="clamped")
+    return AlphaVector(values=cap_floor_clamp(a.values, gamma, _floor(gamma, k)), stage="clamped")
+
+
+def _floor(gamma: float, k: int) -> float:
+    """The (1-gamma)/k floor on neighbor coefficients; none without neighbors."""
+    return (1.0 - gamma) / k if k > 0 else 0.0
+
+
+def _linear_mix(
+    alpha: np.ndarray, full_rows: np.ndarray, biases: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """alpha @ full_rows and alpha @ biases; leading axes are few-class axes."""
+    a = alpha[..., None, :]
+    return np.matmul(a, full_rows)[..., 0, :], np.matmul(a, biases[..., None])[..., 0, 0]
+
+
+def _linear_mix_vjp(
+    full_rows: np.ndarray, biases: np.ndarray, g_u: np.ndarray, g_t: np.ndarray
+) -> np.ndarray:
+    """Gradient of `_linear_mix` with respect to alpha, given the gradients of
+    its two outputs. The sum order is fixed: bias term first."""
+    return biases * g_t[..., None] + np.matmul(full_rows, g_u[..., None])[..., 0]
 
 
 def compose(a: AlphaVector, nb: NeighborSet) -> tuple[np.ndarray, float]:
@@ -105,7 +128,8 @@ def compose(a: AlphaVector, nb: NeighborSet) -> tuple[np.ndarray, float]:
         raise ShapeError(
             f"alpha vector of length {a.values.shape[0]} vs neighbor set of size {nb.k + 1}"
         )
-    return a.values @ nb.full_rows, float(a.values @ nb.biases)
+    u, t = _linear_mix(a.values, nb.full_rows, nb.biases)
+    return u, float(t)
 
 
 def score_batch(features: np.ndarray, bank: ClassifierBank) -> np.ndarray:
@@ -282,16 +306,42 @@ def alpha_pipeline(model: AlphaModel, index: int) -> AlphaVector:
     return clamp_alpha(a, model.gamma)
 
 
+def _stacked(model: AlphaModel) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Sub-module parameters, (F, h, (K+1)d), (F, h), (F, K+1, h), (F, K+1),
+    and neighbor tensors, (F, (K+1)d), (F, K+1, D), (F, K+1), stacked along a
+    leading few-class axis. Stacked on every call: callers may edit a
+    sub-module's arrays in place."""
+    params = [np.stack(group) for group in zip(*(sub.params() for sub in model.submodules))]
+    inputs = [
+        np.stack(group)
+        for group in zip(*((ns.flat_input, ns.full_rows, ns.biases) for ns in model.neighbor_sets))
+    ]
+    return params, inputs
+
+
+def _alpha_forward(model: AlphaModel, params: list[np.ndarray], flat_inputs: np.ndarray):
+    """fc1 -> leaky relu -> fc2 -> normalize -> clamp for every few class at
+    once; returns the output of each stage."""
+    fc1_w, fc1_b, fc2_w, fc2_b = params
+    pre = affine(fc1_w, flat_inputs, fc1_b)
+    hidden = leaky_relu(pre, model.slope)
+    raw = affine(fc2_w, hidden, fc2_b)
+    norm = abs_normalize(raw, strict=model.strict_alpha)
+    alpha = cap_floor_clamp(norm, model.gamma, _floor(model.gamma, model.top_k))
+    return pre, hidden, raw, norm, alpha
+
+
 def export_composed(model: AlphaModel, bank: ClassifierBank | None = None) -> ComposedBank:
-    """Deterministic forward pass per few class; base rows copied verbatim."""
+    """Deterministic forward pass for all few classes; base rows copied verbatim."""
     if bank is None:
         bank = model.bank
     weights = bank.weights.copy()
     biases = bank.biases.copy()
-    for i, ns in enumerate(model.neighbor_sets):
-        u, t = compose(alpha_pipeline(model, i), ns)
-        weights[ns.target] = u
-        biases[ns.target] = t
+    if model.submodules:
+        params, (flat_inputs, full_rows, set_biases) = _stacked(model)
+        alpha = _alpha_forward(model, params, flat_inputs)[-1]
+        few = list(model.few_ids)
+        weights[few], biases[few] = _linear_mix(alpha, full_rows, set_biases)
     return ComposedBank(
         weights=weights,
         biases=biases,
@@ -301,18 +351,18 @@ def export_composed(model: AlphaModel, bank: ClassifierBank | None = None) -> Co
 
 
 # ---------------------------------------------------------------------------
-# Loss and gradients (tape path)
+# Loss and gradients
 
 
-def _tape_alpha(model: AlphaModel, tape: GradTape, nodes: list[Node], index: int) -> Node:
-    ns = model.neighbor_sets[index]
-    fc1_w, fc1_b, fc2_w, fc2_b = nodes
-    h = tape.leaky_relu(tape.affine(fc1_w, ns.flat_input, fc1_b), model.slope)
-    raw = tape.affine(fc2_w, h, fc2_b)
-    norm = tape.abs_normalize(raw, strict=model.strict_alpha)
-    k = ns.k
-    floor = (1.0 - model.gamma) / k if k > 0 else 0.0
-    return tape.cap_floor_clamp(norm, model.gamma, floor)
+def _few_scores_vjp(
+    g_scores: np.ndarray, few: list[int], features: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of the few-class score columns, `features @ u.T + t`, with
+    respect to u and t, given the gradient of the full score matrix."""
+    # Fancy indexing returns an F-ordered copy; C order fixes the summation
+    # order of the column sums.
+    g_few = np.ascontiguousarray(g_scores[:, few])
+    return g_few.T @ features, g_few.sum(axis=0)
 
 
 def loss_and_grads(
@@ -329,21 +379,24 @@ def loss_and_grads(
     labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[0] == 0:
         raise ShapeError(f"batch features must be 2-D and nonempty, got {features.shape}")
-    tape = GradTape()
-    param_nodes = [[Node(p) for p in sub.params()] for sub in model.submodules]
-    u_nodes, t_nodes = [], []
-    for i, ns in enumerate(model.neighbor_sets):
-        a = _tape_alpha(model, tape, param_nodes[i], i)
-        u_nodes.append(tape.linear_mix(a, ns.full_rows))
-        t_nodes.append(tape.linear_mix(a, ns.biases))
-    u = tape.stack(u_nodes)
-    t = tape.stack(t_nodes)
-    few_scores = tape.batch_scores(features, u, t)
-    scores = tape.overwrite_columns(model.bank.scores(features), few_scores, list(model.few_ids))
-    loss = tape.mean_softmax_xent(scores, labels)
-    tape.backward(loss)
-    grads = [n.grad for nodes in param_nodes for n in nodes]
-    return float(loss.value), grads
+    params, (flat_inputs, full_rows, set_biases) = _stacked(model)
+    fc1_w, _, fc2_w, _ = params
+    pre, hidden, raw, norm, alpha = _alpha_forward(model, params, flat_inputs)
+    u, t = _linear_mix(alpha, full_rows, set_biases)
+    few = list(model.few_ids)
+    scores = model.bank.scores(features)
+    scores[:, few] = features @ u.T + t
+    loss, g_scores = mean_softmax_xent(scores, labels)
+
+    # Backward through each stage in reverse.
+    g_u, g_t = _few_scores_vjp(g_scores, few, features)
+    g_norm = cap_floor_clamp_vjp(norm, alpha, _linear_mix_vjp(full_rows, set_biases, g_u, g_t))
+    g_raw = abs_normalize_vjp(raw, g_norm)
+    g_fc2_w, g_hidden, g_fc2_b = affine_vjp(fc2_w, hidden, g_raw)
+    g_pre = leaky_relu_vjp(pre, model.slope, g_hidden)
+    g_fc1_w, _, g_fc1_b = affine_vjp(fc1_w, flat_inputs, g_pre)
+    stacked_grads = (g_fc1_w, g_fc1_b, g_fc2_w, g_fc2_b)
+    return loss, [g[i] for i in range(len(few)) for g in stacked_grads]
 
 
 def flatten_params(model: AlphaModel) -> np.ndarray:
@@ -386,20 +439,6 @@ def sample_epoch(ds: FeatureDataset, split: SplitSpec, rng: np.random.Generator)
 
 
 @dataclass
-class TrainState:
-    """Mutable loop state: schedule position, momentum buffers, best snapshot."""
-
-    epoch: int
-    velocities: list[np.ndarray]
-    best_few_top1: float
-    best_epoch: int
-    best_params: list[SubModule]
-
-    def lr(self, lr0: float) -> float:
-        return lr0 * 0.1 ** (self.epoch // 20)
-
-
-@dataclass
 class FitResult:
     model: AlphaModel
     log: list[dict]
@@ -432,25 +471,24 @@ def fit(
     rng = np.random.default_rng(seed)
     split = model.bank.split
     val_x, val_y = ds.partition_arrays("val")
-    state = TrainState(
-        epoch=0,
-        velocities=[np.zeros_like(p) for p in model.parameters()],
-        best_few_top1=-np.inf,
-        best_epoch=-1,
-        best_params=model.snapshot(),
-    )
+    velocities = [np.zeros_like(p) for p in model.parameters()]
+    best_few_top1, best_epoch, best_params = -np.inf, -1, model.snapshot()
     log: list[dict] = []
 
     for epoch in range(epochs):
-        state.epoch = epoch
-        lr = state.lr(lr0)
+        lr = lr0 * 0.1 ** (epoch // 20)
         order = sample_epoch(ds, split, rng)
         loss_sum = 0.0
-        for start in range(0, order.size, batch_size):
+        for batch_index, start in enumerate(range(0, order.size, batch_size)):
             batch = order[start : start + batch_size]
-            loss, grads = loss_and_grads(model, ds.features[batch], ds.labels[batch])
+            try:
+                loss, grads = loss_and_grads(model, ds.features[batch], ds.labels[batch])
+            except NumericError as exc:
+                raise TrainingError(
+                    f"training failed at epoch {epoch}, batch {batch_index}: {exc}"
+                ) from exc
             loss_sum += loss * batch.size
-            for param, grad, vel in zip(model.parameters(), grads, state.velocities):
+            for param, grad, vel in zip(model.parameters(), grads, velocities):
                 if weight_decay:
                     grad = grad + weight_decay * param
                 sgd_momentum_step(param, grad, vel, lr, momentum)
@@ -465,10 +503,8 @@ def fit(
         log.append(entry)
         if on_epoch is not None:
             on_epoch(entry)
-        if few is not None and few.top1 > state.best_few_top1:
-            state.best_few_top1 = few.top1
-            state.best_epoch = epoch
-            state.best_params = model.snapshot()
+        if few is not None and few.top1 > best_few_top1:
+            best_few_top1, best_epoch, best_params = few.top1, epoch, model.snapshot()
 
     best = AlphaModel(
         gamma=model.gamma,
@@ -477,15 +513,15 @@ def fit(
         hidden=model.hidden,
         slope=model.slope,
         neighbor_sets=model.neighbor_sets,
-        submodules=[sub.copy() for sub in state.best_params],
+        submodules=[sub.copy() for sub in best_params],
         bank=model.bank,
         strict_alpha=model.strict_alpha,
     )
     return FitResult(
         model=best,
         log=log,
-        best_epoch=state.best_epoch,
-        best_few_top1=state.best_few_top1,
+        best_epoch=best_epoch,
+        best_few_top1=best_few_top1,
     )
 
 

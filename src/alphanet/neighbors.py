@@ -162,15 +162,3 @@ def build_neighbor_set(
         full_rows=bank.weights[list(members)].copy(),
         distances=tuple(float(x) for x in distances) if distances is not None else (),
     )
-
-
-def neighbor_summary(sets) -> list[dict]:
-    """JSON-ready listing of each few class's neighbors and distances."""
-    return [
-        {
-            "target": ns.target,
-            "neighbors": list(ns.neighbor_ids),
-            "distances": list(ns.distances),
-        }
-        for ns in sets
-    ]

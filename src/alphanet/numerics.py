@@ -1,31 +1,36 @@
-"""Dense float64 primitives with hand-derived gradients.
+"""Dense float64 primitives of the composition pipeline.
 
 Conventions: a vector is a 1-D float64 ndarray, a matrix a 2-D row-major
-float64 ndarray. Every differentiable operation exists in two forms: a pure
-forward function, and a :class:`GradTape` primitive that additionally records
-the analytic backward step so a full forward pass can be replayed in reverse.
-All gradients here are closed-form; `finite_diff_check` is the harness used
-by the tests to certify them against central differences.
+float64 ndarray. `affine`, `leaky_relu`, `abs_normalize` and
+`cap_floor_clamp` also accept a leading few-class axis, so one call runs the
+same step for every few class and gives each class the bits of its own
+per-vector call. Gradients are closed-form: `mean_softmax_xent` returns its
+own, and each of the other four steps has a `*_vjp` function that maps the
+gradient of its output to the gradients of its inputs; `model.loss_and_grads`
+chains them. `finite_diff_check` is the harness the tests use to certify them
+against central differences.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import DegenerateAlphaError, NumericError, ShapeError
 
 __all__ = [
-    "Node",
-    "GradTape",
-    "as_matrix",
     "as_vector",
     "affine",
     "leaky_relu",
     "abs_normalize",
     "cap_floor_clamp",
+    "affine_vjp",
+    "leaky_relu_vjp",
+    "abs_normalize_vjp",
+    "cap_floor_clamp_vjp",
     "softmax",
+    "mean_softmax_xent",
     "softmax_xent",
     "sgd_momentum_step",
     "finite_diff_check",
@@ -42,32 +47,24 @@ def as_vector(x, what: str = "vector") -> np.ndarray:
     return out
 
 
-def as_matrix(x, what: str = "matrix") -> np.ndarray:
-    out = np.ascontiguousarray(x, dtype=np.float64)
-    if out.ndim != 2:
-        raise ShapeError(f"{what}: expected 2-D, got shape {out.shape}")
-    return out
-
-
-def check_finite(x, what: str) -> np.ndarray:
-    x = np.asarray(x)
-    if not np.all(np.isfinite(x)):
-        raise NumericError(f"{what} contains non-finite entries")
-    return x
-
-
 # ---------------------------------------------------------------------------
-# Pure forward operations
+# Forward operations
 
 
 def affine(m: np.ndarray, v: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """out[r] = sum_c m[r, c] * v[c] + b[r]."""
+    """out[..., r] = sum_c m[..., r, c] * v[..., c] + b[..., r].
+
+    Leading axes shared by all three operands are batch axes: each batch
+    entry gets its own matrix, vector and bias.
+    """
     m, v, b = np.asarray(m), np.asarray(v), np.asarray(b)
-    if m.ndim != 2 or m.shape[1] != v.shape[-1]:
+    if m.ndim < 2 or m.shape[:-2] + m.shape[-1:] != v.shape:
         raise ShapeError(f"affine: matrix {m.shape} incompatible with vector {v.shape}")
-    if b.shape != (m.shape[0],):
+    if b.shape != m.shape[:-1]:
         raise ShapeError(f"affine: matrix {m.shape} incompatible with bias {b.shape}")
-    return m @ v + b
+    # An explicit length-1 axis keeps every batch entry on the matrix-vector
+    # product that a lone 2-D @ 1-D call takes, so the bits agree.
+    return np.matmul(m, v[..., None])[..., 0] + b
 
 
 def leaky_relu(v: np.ndarray, slope: float) -> np.ndarray:
@@ -79,26 +76,27 @@ def leaky_relu(v: np.ndarray, slope: float) -> np.ndarray:
 
 
 def abs_normalize(v: np.ndarray, strict: bool = True) -> np.ndarray:
-    """Divide by the sum of absolute values so that sum(|out|) == 1.
+    """Divide each vector (last axis) by its sum of absolute values, so that
+    sum(|out|) == 1 along that axis.
 
-    With ``strict=True`` an (effectively) all-zero input raises
+    With ``strict=True`` an (effectively) all-zero vector raises
     :class:`DegenerateAlphaError`; otherwise the denominator is floored at
     ``DEGENERATE_EPS``, which leaves non-degenerate inputs bit-identical to
     the strict result.
     """
     v = np.asarray(v, dtype=np.float64)
-    s = float(np.sum(np.abs(v)))
-    if s <= DEGENERATE_EPS:
-        if strict:
-            raise DegenerateAlphaError(
-                f"cannot normalize near-zero vector (sum of |entries| = {s:g})"
-            )
-        s = DEGENERATE_EPS
-    return v / s
+    s = np.sum(np.abs(v), axis=-1, keepdims=True)
+    degenerate = s <= DEGENERATE_EPS
+    if strict and np.any(degenerate):
+        raise DegenerateAlphaError(
+            "cannot normalize near-zero vector "
+            f"(sum of |entries| = {float(s[degenerate][0]):g})"
+        )
+    return v / np.maximum(s, DEGENERATE_EPS)
 
 
 def cap_floor_clamp(v: np.ndarray, cap: float, floor: float) -> np.ndarray:
-    """Clamp |v[0]| from above by `cap` and |v[1:]| from below by `floor`.
+    """Clamp |v[..., 0]| from above by `cap` and |v[..., 1:]| from below by `floor`.
 
     Signs are preserved; a floored exact zero becomes `+floor`. Used on
     normalized alpha vectors, where the cap keeps the original classifier
@@ -106,15 +104,42 @@ def cap_floor_clamp(v: np.ndarray, cap: float, floor: float) -> np.ndarray:
     """
     v = np.asarray(v, dtype=np.float64)
     out = v.copy()
-    if abs(out[0]) > cap:
-        out[0] = cap * np.sign(out[0])
-    if out.shape[0] > 1:
-        rest = out[1:]
-        low = np.abs(rest) < floor
-        # sign'(0) = +1: a zero coordinate is pushed to +floor.
-        signs = np.where(rest >= 0.0, 1.0, -1.0)
-        rest[low] = floor * signs[low]
+    head = out[..., 0]
+    out[..., 0] = np.where(np.abs(head) > cap, cap * np.sign(head), head)
+    rest = out[..., 1:]
+    # sign'(0) = +1: a zero coordinate is pushed to +floor.
+    rest[...] = np.where(np.abs(rest) < floor, np.where(rest >= 0.0, floor, -floor), rest)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Vector-Jacobian products: `g` is the gradient of a forward operation's
+# output, and leading few-class axes carry through as in the forward calls.
+
+
+def affine_vjp(m: np.ndarray, v: np.ndarray, g: np.ndarray):
+    """Gradients of `affine(m, v, b)` with respect to m, v and b."""
+    g_v = np.matmul(np.swapaxes(m, -1, -2), g[..., None])[..., 0]
+    return g[..., :, None] * v[..., None, :], g_v, g
+
+
+def leaky_relu_vjp(v: np.ndarray, slope: float, g: np.ndarray) -> np.ndarray:
+    """Gradient of `leaky_relu(v, slope)` with respect to v (slope 1 at 0)."""
+    return np.where(v >= 0.0, 1.0, slope) * g
+
+
+def abs_normalize_vjp(v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of `abs_normalize(v)` with respect to v, by the quotient rule:
+    d(v_j/S)/d(v_k) = delta_jk/S - v_j sign(v_k)/S^2."""
+    s = np.maximum(np.sum(np.abs(v), axis=-1, keepdims=True), DEGENERATE_EPS)
+    g_dot = np.matmul(g[..., None, :], v[..., :, None])[..., 0]
+    return g / s - (g_dot / (s * s)) * np.sign(v)
+
+
+def cap_floor_clamp_vjp(v: np.ndarray, out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of `out = cap_floor_clamp(v, ...)` with respect to v: clamped
+    coordinates pass nothing, the others pass `g` through."""
+    return np.where(out == v, g, 0.0)
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -123,6 +148,30 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     shifted = scores - np.max(scores, axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def mean_softmax_xent(scores: np.ndarray, labels) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of row-wise softmax against integer labels, plus
+    its gradient with respect to `scores`.
+
+    Each row's loss is log-sum-exp minus the label's shifted score, which is
+    finite for any finite scores; the gradient is
+    ``(softmax(scores) - onehot(labels)) / n``.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    if scores.ndim != 2 or labels.shape != scores.shape[:1]:
+        raise ShapeError(f"mean_softmax_xent: scores {scores.shape} vs labels {labels.shape}")
+    n = scores.shape[0]
+    rows = np.arange(n)
+    shifted = scores - np.max(scores, axis=-1, keepdims=True)
+    losses = np.log(np.sum(np.exp(shifted), axis=-1)) - shifted[rows, labels]
+    if not np.all(np.isfinite(losses)):
+        bad = int(np.argmax(~np.isfinite(losses)))
+        raise NumericError(f"non-finite loss for sample {bad}")
+    grad = softmax(scores)
+    grad[rows, labels] -= 1.0
+    return float(losses.mean()), (1.0 / n) * grad
 
 
 def softmax_xent(scores: np.ndarray, label: int) -> tuple[float, np.ndarray]:
@@ -135,13 +184,8 @@ def softmax_xent(scores: np.ndarray, label: int) -> tuple[float, np.ndarray]:
     n = scores.shape[0]
     if not 0 <= label < n:
         raise IndexError(f"label {label} out of range for {n} scores")
-    shifted = scores - np.max(scores)
-    logsumexp = float(np.log(np.sum(np.exp(shifted))))
-    loss = logsumexp - float(shifted[label])
-    grad = np.exp(shifted - logsumexp)
-    grad[label] -= 1.0
-    check_finite(loss, "softmax_xent loss")
-    return loss, grad
+    loss, grad = mean_softmax_xent(scores[None, :], np.array([label]))
+    return loss, grad[0]
 
 
 def sgd_momentum_step(
@@ -196,177 +240,3 @@ def finite_diff_check(
         err = abs(analytic_grad[k] - central) / max(1.0, abs(central))
         worst = max(worst, err)
     return worst
-
-
-# ---------------------------------------------------------------------------
-# Reverse-mode tape
-
-
-class Node:
-    """A tape-tracked value: the forward result and its accumulated gradient."""
-
-    __slots__ = ("value", "grad")
-
-    def __init__(self, value):
-        self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
-
-
-def _value(x) -> np.ndarray:
-    return x.value if isinstance(x, Node) else np.asarray(x, dtype=np.float64)
-
-
-class GradTape:
-    """Ordered record of primitive applications for reverse-mode replay.
-
-    Each primitive computes its forward value eagerly and pushes a backward
-    closure capturing the cached values it needs. `backward` seeds the root
-    gradient and replays the closures in exact reverse order of recording.
-    Inputs may be Nodes (gradients accumulate) or plain arrays (constants).
-    """
-
-    def __init__(self):
-        self._steps: list[Callable[[], None]] = []
-
-    def backward(self, root: Node, seed: float = 1.0) -> None:
-        root.grad = root.grad + seed * np.ones_like(root.value)
-        for step in reversed(self._steps):
-            step()
-
-    def _emit(self, value, backward: Callable[[Node], None]) -> Node:
-        out = Node(value)
-        self._steps.append(lambda: backward(out))
-        return out
-
-    # -- primitives ---------------------------------------------------------
-
-    def affine(self, m, v, b) -> Node:
-        mv, vv, bv = _value(m), _value(v), _value(b)
-        out_value = affine(mv, vv, bv)
-
-        def back(out: Node) -> None:
-            g = out.grad
-            if isinstance(m, Node):
-                m.grad += np.outer(g, vv)
-            if isinstance(v, Node):
-                v.grad += mv.T @ g
-            if isinstance(b, Node):
-                b.grad += g
-
-        return self._emit(out_value, back)
-
-    def leaky_relu(self, v: Node, slope: float) -> Node:
-        vv = _value(v)
-        out_value = leaky_relu(vv, slope)
-        scale = np.where(vv >= 0.0, 1.0, slope)
-
-        def back(out: Node) -> None:
-            if isinstance(v, Node):
-                v.grad += scale * out.grad
-
-        return self._emit(out_value, back)
-
-    def abs_normalize(self, v: Node, strict: bool = False) -> Node:
-        vv = _value(v)
-        out_value = abs_normalize(vv, strict=strict)
-        s = max(float(np.sum(np.abs(vv))), DEGENERATE_EPS)
-        sign = np.sign(vv)  # sign(0) = 0 by convention
-
-        def back(out: Node) -> None:
-            if isinstance(v, Node):
-                g = out.grad
-                # quotient rule: d(a_j/S)/d(a_k) = delta_jk/S - a_j sign(a_k)/S^2
-                v.grad += g / s - (float(g @ vv) / (s * s)) * sign
-
-        return self._emit(out_value, back)
-
-    def cap_floor_clamp(self, v: Node, cap: float, floor: float) -> Node:
-        vv = _value(v)
-        out_value = cap_floor_clamp(vv, cap, floor)
-        # Hard projection: clamped coordinates pass no gradient.
-        active = out_value == vv
-
-        def back(out: Node) -> None:
-            if isinstance(v, Node):
-                v.grad += np.where(active, out.grad, 0.0)
-
-        return self._emit(out_value, back)
-
-    def linear_mix(self, coeffs: Node, table) -> Node:
-        """coeffs @ table for a constant table: rows (k, d) -> (d,), or (k,) -> scalar."""
-        tv = _value(table)
-        cv = _value(coeffs)
-        if cv.shape[0] != tv.shape[0]:
-            raise ShapeError(f"linear_mix: coeffs {cv.shape} vs table {tv.shape}")
-        out_value = cv @ tv
-
-        def back(out: Node) -> None:
-            if isinstance(coeffs, Node):
-                if tv.ndim == 2:
-                    coeffs.grad += tv @ out.grad
-                else:
-                    coeffs.grad += tv * out.grad
-
-        return self._emit(out_value, back)
-
-    def stack(self, nodes: Sequence[Node]) -> Node:
-        out_value = np.stack([_value(n) for n in nodes])
-
-        def back(out: Node) -> None:
-            for i, n in enumerate(nodes):
-                if isinstance(n, Node):
-                    n.grad += out.grad[i]
-
-        return self._emit(out_value, back)
-
-    def batch_scores(self, features, weights: Node, biases: Node) -> Node:
-        """scores[i, j] = features[i] . weights[j] + biases[j]; features constant."""
-        x = _value(features)
-        wv, bv = _value(weights), _value(biases)
-        if x.shape[1] != wv.shape[1]:
-            raise ShapeError(f"batch_scores: features {x.shape} vs weights {wv.shape}")
-        out_value = x @ wv.T + bv
-
-        def back(out: Node) -> None:
-            g = out.grad
-            if isinstance(weights, Node):
-                weights.grad += g.T @ x
-            if isinstance(biases, Node):
-                biases.grad += g.sum(axis=0)
-
-        return self._emit(out_value, back)
-
-    def overwrite_columns(self, base, cols: Node, col_ids) -> Node:
-        """Copy of constant `base` with columns `col_ids` replaced by `cols`."""
-        bv = _value(base)
-        out_value = bv.copy()
-        out_value[:, col_ids] = _value(cols)
-
-        def back(out: Node) -> None:
-            if isinstance(cols, Node):
-                cols.grad += out.grad[:, col_ids]
-
-        return self._emit(out_value, back)
-
-    def mean_softmax_xent(self, scores: Node, labels) -> Node:
-        """Mean cross-entropy of row-wise softmax against integer labels."""
-        sv = _value(scores)
-        labels = np.asarray(labels)
-        n = sv.shape[0]
-        if labels.shape != (n,):
-            raise ShapeError(f"mean_softmax_xent: scores {sv.shape} vs labels {labels.shape}")
-        probs = softmax(sv)
-        picked = probs[np.arange(n), labels]
-        losses = -np.log(picked)
-        if not np.all(np.isfinite(losses)):
-            bad = int(np.argmax(~np.isfinite(losses)))
-            raise NumericError(f"non-finite loss for sample {bad}")
-        out_value = np.float64(losses.mean())
-
-        def back(out: Node) -> None:
-            if isinstance(scores, Node):
-                g = probs.copy()
-                g[np.arange(n), labels] -= 1.0
-                scores.grad += (float(out.grad) / n) * g
-
-        return self._emit(out_value, back)

@@ -9,8 +9,6 @@ dependency is needed.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -227,19 +225,6 @@ class SweepRow:
     report: SplitReport
 
 
-def _sweep_workers(n_cells: int) -> int:
-    raw = os.environ.get("ALPHANET_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"ALPHANET_THREADS must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ConfigError(f"ALPHANET_THREADS must be >= 1, got {cap}")
-    return max(1, min(cap, n_cells))
-
-
 def _sweep(
     bank: ClassifierBank,
     ds: FeatureDataset,
@@ -255,12 +240,7 @@ def _sweep(
         _, composed = run_training(bank, ds, c)
         return split_report(composed.scores(features), labels, composed.split)
 
-    workers = _sweep_workers(len(configs))
-    if workers == 1:
-        reports = [cell(c) for c in configs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(cell, configs))
+    reports = [cell(c) for c in configs]
     return [
         SweepRow(param=param, value=float(v), report=r)
         for v, r in zip(values, reports)

@@ -11,7 +11,9 @@ from alphanet.errors import (
     ConfigError,
     DegenerateAlphaError,
     IntegrityError,
+    NumericError,
     ShapeError,
+    TrainingError,
 )
 from alphanet.model import (
     AlphaModel,
@@ -371,6 +373,23 @@ def test_loss_tiny_when_label_dominates():
     assert loss < 1e-8
 
 
+def test_loss_stays_finite_when_the_label_trails_by_800():
+    split = assign_splits([150, 30, 5])
+    bank = ClassifierBank(weights=np.eye(3) * 20.0, biases=np.zeros(3), split=split)
+    ds = FeatureDataset(
+        features=np.concatenate([np.tile(np.eye(3)[c], (n, 1)) for c, n in enumerate([6, 5, 4])]),
+        labels=np.repeat([0, 1, 2], [6, 5, 4]),
+        partitions=np.zeros(15, dtype=np.uint8),
+        n_classes=3,
+    )
+    model = build_model(bank, ds, gamma=1.0, top_k=1, reduced_dim=2, seed=0)
+    _force_identity_alpha(model)
+    # scores [0, 800, 0]: softmax of the label underflows to exactly 0
+    loss, grads = loss_and_grads(model, np.array([[0.0, 40.0, 0.0]]), np.array([0]))
+    assert loss == 800.0
+    assert all(np.all(np.isfinite(g)) for g in grads)
+
+
 def test_loss_mean_is_invariant_under_batch_duplication():
     ds, bank = _small_problem()
     model = build_model(bank, ds, top_k=2, reduced_dim=3, seed=0)
@@ -512,6 +531,15 @@ def test_fit_zero_epochs_returns_initial_model():
     assert result.log == []
     assert result.best_epoch == -1
     assert np.array_equal(flatten_params(result.model), before)
+
+
+def test_fit_reports_epoch_and_batch_of_a_nonfinite_loss():
+    ds, bank = _small_problem()
+    model = build_model(bank, ds, top_k=2, reduced_dim=3, seed=0)
+    model.submodules[0].fc2_b[1] = np.nan
+    with pytest.raises(TrainingError, match="epoch 0, batch 0") as exc:
+        fit(model, ds, epochs=1)
+    assert isinstance(exc.value.__cause__, NumericError)
 
 
 def test_fit_learning_rate_schedule():

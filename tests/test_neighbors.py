@@ -12,7 +12,6 @@ from alphanet.neighbors import (
     build_neighbor_set,
     class_means,
     knn_base,
-    neighbor_summary,
     pca_apply,
     pca_fit,
 )
@@ -251,16 +250,3 @@ def test_neighbor_set_is_a_frozen_copy():
     before = ns.full_rows.copy()
     bank.weights[0] += 100.0
     assert np.array_equal(ns.full_rows, before)
-
-
-def test_neighbor_summary_is_json_ready():
-    ns = NeighborSet(
-        target=7,
-        neighbor_ids=(1, 2),
-        reduced=np.zeros((3, 2)),
-        biases=np.zeros(3),
-        full_rows=np.zeros((3, 4)),
-        distances=(0.5, 1.5),
-    )
-    out = neighbor_summary([ns])
-    assert out == [{"target": 7, "neighbors": [1, 2], "distances": [0.5, 1.5]}]

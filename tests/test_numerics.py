@@ -4,18 +4,34 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from alphanet.data import ClassifierBank, assign_splits
 from alphanet.errors import DegenerateAlphaError, NumericError, ShapeError
+from alphanet.model import (
+    AlphaModel,
+    _few_scores_vjp,
+    _linear_mix,
+    _linear_mix_vjp,
+    alpha_pipeline,
+    flatten_params,
+    init_submodule,
+    loss_and_grads,
+    set_params,
+)
+from alphanet.neighbors import NeighborSet
 from alphanet.numerics import (
-    GradTape,
-    Node,
     abs_normalize,
+    abs_normalize_vjp,
     affine,
+    affine_vjp,
     cap_floor_clamp,
+    cap_floor_clamp_vjp,
     finite_diff_check,
     leaky_relu,
+    leaky_relu_vjp,
+    mean_softmax_xent,
     sgd_momentum_step,
     softmax_xent,
 )
@@ -187,130 +203,126 @@ def test_cap_floor_clamp_zero_pushed_to_plus_floor():
     assert out[2] == pytest.approx(-0.2)  # sign preserved
 
 
+@settings(deadline=None, max_examples=30)
+@given(
+    seed=st.integers(0, 2**31),
+    f=st.integers(1, 4),
+    n=st.integers(1, 5),
+    ties=st.booleans(),
+)
+def test_batched_steps_match_per_vector_calls_bit_for_bit(seed, f, n, ties):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(f, 3, n))
+    v = rng.normal(size=(f, n))
+    b = rng.normal(size=(f, 3))
+    if ties:  # repeated entries and exact zeros on every clamp boundary
+        v = rng.choice([0.0, -0.25, 0.25, 0.5], size=(f, n))
+    cap, floor = 0.5, 0.25
+    assert affine(m, v, b).tobytes() == np.stack(
+        [affine(m[i], v[i], b[i]) for i in range(f)]
+    ).tobytes()
+    norm = abs_normalize(v, strict=False)
+    assert norm.tobytes() == np.stack(
+        [abs_normalize(row, strict=False) for row in v]
+    ).tobytes()
+    assert cap_floor_clamp(v, cap, floor).tobytes() == np.stack(
+        [cap_floor_clamp(row, cap, floor) for row in v]
+    ).tobytes()
+
+
+def test_abs_normalize_strict_rejects_any_degenerate_row():
+    with pytest.raises(DegenerateAlphaError):
+        abs_normalize(np.array([[1.0, 2.0], [0.0, 0.0]]), strict=True)
+
+
 # ---------------------------------------------------------------------------
-# Tape primitives vs central differences
+# The gradient tape of loss_and_grads, step by step
 #
-# backward() seeds every coordinate of the root with 1, so the analytic
-# gradient it accumulates is d(sum of outputs)/d(input) — which is exactly
-# what the harness gets when the probed scalar is the output sum.
+# loss_and_grads runs each step's vector-Jacobian product in reverse. Each is
+# checked here against central differences of its forward step, contracted
+# with a random upstream gradient `g`, on inputs with a leading few-class axis.
 
 
-def _tape_grad(build, x):
-    """Gradient of sum(build(tape, Node(x))) with respect to x."""
-    tape = GradTape()
-    node = Node(x)
-    out = build(tape, node)
-    tape.backward(out)
-    return node.grad.ravel()
-
-
-def _check_primitive(build, forward, x, tol=1e-5):
-    grad = _tape_grad(build, x)
+def _check_vjp(forward, x, g, analytic, tol=1e-5):
     err = finite_diff_check(
-        lambda flat: float(np.sum(forward(flat.reshape(x.shape)))),
+        lambda flat: float(np.sum(g * forward(flat.reshape(x.shape)))),
         x.ravel(),
-        grad,
+        np.asarray(analytic).ravel(),
         eps=1e-5,
     )
     assert err < tol, f"finite-difference disagreement {err:.3g}"
 
 
-@settings(deadline=None, max_examples=40)
-@given(seed=st.integers(0, 2**31), n=st.integers(2, 16))
-def test_tape_affine_gradients(seed, n):
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2**31), f=st.integers(1, 3), r=st.integers(1, 5), n=st.integers(1, 5))
+def test_tape_affine_gradients(seed, f, r, n):
     rng = np.random.default_rng(seed)
-    m = rng.normal(size=(n, n))
-    b = rng.normal(size=n)
-    v = rng.normal(size=n)
-    _check_primitive(
-        lambda tape, node: tape.affine(m, node, b),
-        lambda x: affine(m, x, b),
-        v,
-    )
-    # and with respect to the matrix
-    tape = GradTape()
-    mn = Node(m)
-    out = tape.affine(mn, v, b)
-    tape.backward(out)
-    err = finite_diff_check(
-        lambda flat: float(np.sum(affine(flat.reshape(n, n), v, b))),
-        m.ravel(),
-        mn.grad.ravel(),
-        eps=1e-5,
-    )
-    assert err < 1e-5
+    m = rng.normal(size=(f, r, n))
+    v = rng.normal(size=(f, n))
+    b = rng.normal(size=(f, r))
+    g = rng.normal(size=(f, r))
+    g_m, g_v, g_b = affine_vjp(m, v, g)
+    _check_vjp(lambda x: affine(x, v, b), m, g, g_m)
+    _check_vjp(lambda x: affine(m, x, b), v, g, g_v)
+    _check_vjp(lambda x: affine(m, v, x), b, g, g_b)
 
 
-@settings(deadline=None, max_examples=40)
-@given(seed=st.integers(0, 2**31), n=st.integers(2, 16))
-def test_tape_leaky_relu_gradients_away_from_kink(seed, n):
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2**31), f=st.integers(1, 3), n=st.integers(2, 16))
+def test_tape_leaky_relu_gradients_away_from_kink(seed, f, n):
     rng = np.random.default_rng(seed)
-    v = rng.normal(size=n)
+    v = rng.normal(size=(f, n))
     v[np.abs(v) < 1e-3] = 0.5  # keep coordinates away from the kink at 0
-    _check_primitive(
-        lambda tape, node: tape.leaky_relu(node, 0.01),
-        lambda x: leaky_relu(x, 0.01),
-        v,
-    )
+    g = rng.normal(size=(f, n))
+    _check_vjp(lambda x: leaky_relu(x, 0.01), v, g, leaky_relu_vjp(v, 0.01, g))
 
 
-@settings(deadline=None, max_examples=40)
-@given(seed=st.integers(0, 2**31), n=st.integers(2, 16))
-def test_tape_abs_normalize_gradients(seed, n):
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2**31), f=st.integers(1, 3), n=st.integers(2, 16))
+def test_tape_abs_normalize_gradients(seed, f, n):
     rng = np.random.default_rng(seed)
-    v = rng.normal(size=n)
+    v = rng.normal(size=(f, n))
     v[np.abs(v) < 1e-2] = 0.5  # |.| is not differentiable at 0
-    _check_primitive(
-        lambda tape, node: tape.abs_normalize(node),
-        lambda x: abs_normalize(x, strict=False),
-        v,
-    )
+    g = rng.normal(size=(f, n))
+    _check_vjp(lambda x: abs_normalize(x, strict=False), v, g, abs_normalize_vjp(v, g))
 
 
-def test_tape_clamp_zeroes_gradient_on_clamped_coordinates():
-    v = Node(np.array([0.9, 0.05, -0.3]))
-    tape = GradTape()
-    out = tape.cap_floor_clamp(v, cap=0.6, floor=0.2)
-    tape.backward(out)
-    # coordinate 0 capped, coordinate 1 floored, coordinate 2 untouched
-    assert np.array_equal(v.grad, [0.0, 0.0, 1.0])
-
-
-@settings(deadline=None, max_examples=40)
-@given(seed=st.integers(0, 2**31), n=st.integers(2, 16))
-def test_tape_clamp_gradients_away_from_boundaries(seed, n):
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2**31), f=st.integers(1, 3), n=st.integers(2, 16))
+def test_tape_clamp_gradients_away_from_boundaries(seed, f, n):
     rng = np.random.default_rng(seed)
-    v = rng.uniform(0.3, 0.55, size=n) * rng.choice([-1.0, 1.0], size=n)
-    _check_primitive(
-        lambda tape, node: tape.cap_floor_clamp(node, cap=0.6, floor=0.2),
-        lambda x: cap_floor_clamp(x, 0.6, 0.2),
-        v,
-    )
+    v = rng.uniform(0.3, 0.55, size=(f, n)) * rng.choice([-1.0, 1.0], size=(f, n))
+    g = rng.normal(size=(f, n))
+    analytic = cap_floor_clamp_vjp(v, cap_floor_clamp(v, 0.6, 0.2), g)
+    assert np.array_equal(analytic, g)  # no coordinate is clamped
+    _check_vjp(lambda x: cap_floor_clamp(x, 0.6, 0.2), v, g, analytic)
 
 
-@settings(deadline=None, max_examples=40)
-@given(seed=st.integers(0, 2**31), n=st.integers(2, 12))
-def test_tape_linear_mix_gradients(seed, n):
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2**31), f=st.integers(1, 3), n=st.integers(1, 6))
+def test_tape_linear_mix_gradients(seed, f, n):
     rng = np.random.default_rng(seed)
-    table = rng.normal(size=(n, 5))
-    coeffs = rng.normal(size=n)
-    _check_primitive(
-        lambda tape, node: tape.linear_mix(node, table),
-        lambda x: x @ table,
-        coeffs,
-    )
+    full_rows = rng.normal(size=(f, n, 5))
+    biases = rng.normal(size=(f, n))
+    coeffs = rng.normal(size=(f, n))
+    g_u = rng.normal(size=(f, 5))
+    g_t = rng.normal(size=f)
+    analytic = _linear_mix_vjp(full_rows, biases, g_u, g_t)
+
+    def contracted(x):
+        u, t = _linear_mix(x, full_rows, biases)
+        return np.sum(g_u * u) + np.sum(g_t * t)
+
+    _check_vjp(contracted, coeffs, 1.0, analytic)
 
 
-@settings(deadline=None, max_examples=40)
+@settings(deadline=None, max_examples=25)
 @given(seed=st.integers(0, 2**31))
 def test_tape_mean_softmax_xent_gradients(seed):
     rng = np.random.default_rng(seed)
     scores = rng.normal(scale=2.0, size=(4, 6))
     labels = rng.integers(0, 6, size=4)
-    node = Node(scores)
-    tape = GradTape()
-    loss = tape.mean_softmax_xent(node, labels)
-    tape.backward(loss)
+    _, grad = mean_softmax_xent(scores, labels)
 
     def f(flat):
         s = flat.reshape(4, 6)
@@ -319,7 +331,7 @@ def test_tape_mean_softmax_xent_gradients(seed):
             total += softmax_xent(row, int(lab))[0]
         return total / 4.0
 
-    err = finite_diff_check(f, scores.ravel(), node.grad.ravel(), eps=1e-5)
+    err = finite_diff_check(f, scores.ravel(), grad.ravel(), eps=1e-5)
     assert err < 1e-5
 
 
@@ -330,56 +342,131 @@ def test_tape_batch_scores_and_overwrite_columns_gradients():
     b = rng.normal(size=2)
     base = rng.normal(size=(3, 5))
     labels = np.array([0, 2, 4])
+    few = [1, 3]
 
-    def run(wf, bf):
-        tape = GradTape()
-        wn, bn = Node(wf), Node(bf)
-        cols = tape.batch_scores(feats, wn, bn)
-        scores = tape.overwrite_columns(base, cols, [1, 3])
-        loss = tape.mean_softmax_xent(scores, labels)
-        tape.backward(loss)
-        return float(loss.value), wn.grad, bn.grad
-
-    loss0, gw, gb = run(w, b)
-
-    def f_w(flat):
+    def loss(wf, bf):
         s = base.copy()
-        s[:, [1, 3]] = feats @ flat.reshape(2, 4).T + b
+        s[:, few] = feats @ wf.T + bf
+        return mean_softmax_xent(s, labels)
+
+    loss0, g_scores = loss(w, b)
+    gw, gb = _few_scores_vjp(g_scores, few, feats)
+
+    def mean_row_losses(wf, bf):
+        s = base.copy()
+        s[:, few] = feats @ wf.T + bf
         return float(
             np.mean([softmax_xent(row, int(l))[0] for row, l in zip(s, labels)])
         )
 
+    f_w = lambda flat: mean_row_losses(flat.reshape(2, 4), b)  # noqa: E731
+    f_b = lambda flat: mean_row_losses(w, flat)  # noqa: E731
     assert finite_diff_check(f_w, w.ravel(), gw.ravel(), eps=1e-5) < 1e-5
-
-    def f_b(flat):
-        s = base.copy()
-        s[:, [1, 3]] = feats @ w.T + flat
-        return float(
-            np.mean([softmax_xent(row, int(l))[0] for row, l in zip(s, labels)])
-        )
-
     assert finite_diff_check(f_b, b.ravel(), gb.ravel(), eps=1e-5) < 1e-5
     assert loss0 > 0.0
 
 
-def test_tape_replay_is_bit_identical():
-    rng = np.random.default_rng(5)
-    m = rng.normal(size=(6, 6))
-    v = rng.normal(size=6)
-    b = rng.normal(size=6)
-    labels = np.array([2])
+# ---------------------------------------------------------------------------
+# loss_and_grads vs central differences
+#
+# Random small models: F few classes, K neighbors each, reduced dim d, hidden
+# width h != d, frozen neighbor tensors and a frozen base bank.
 
-    def run():
-        tape = GradTape()
-        node = Node(v)
-        h = tape.leaky_relu(tape.affine(m, node, b), 0.01)
-        a = tape.abs_normalize(h)
-        scores = tape.overwrite_columns(np.zeros((1, 6)), tape.stack([a]), [0, 1, 2, 3, 4, 5])
-        loss = tape.mean_softmax_xent(scores, labels)
-        tape.backward(loss)
-        return float(loss.value), node.grad.copy()
 
-    loss1, g1 = run()
-    loss2, g2 = run()
-    assert loss1 == loss2
-    assert g1.tobytes() == g2.tobytes()
+def _random_model(rng, f, k, d, h, gamma):
+    n_base, dim = max(k, 1) + 1, 3
+    split = assign_splits([150] * n_base + [5] * f)
+    bank = ClassifierBank(
+        weights=rng.normal(size=(n_base + f, dim)),
+        biases=rng.normal(scale=0.5, size=n_base + f),
+        split=split,
+    )
+    sets, subs = [], []
+    for target in split.few_ids:
+        sets.append(
+            NeighborSet(
+                target=target,
+                neighbor_ids=tuple(range(k)),
+                reduced=rng.normal(size=(k + 1, d)),
+                biases=rng.normal(scale=0.5, size=k + 1),
+                full_rows=rng.normal(size=(k + 1, dim)),
+            )
+        )
+        sub = init_submodule(rng, (k + 1) * d, h, k + 1, gamma, init_margin=0.5)
+        sub.fc2_w *= 0.05  # keep the coefficients near their interior target
+        subs.append(sub)
+    model = AlphaModel(
+        gamma=gamma, top_k=k, reduced_dim=d, hidden=h, slope=0.01,
+        neighbor_sets=sets, submodules=subs, bank=bank,
+    )
+    features = rng.normal(scale=2.0, size=(5, dim))
+    labels = rng.integers(0, n_base + f, size=5)
+    return model, features, labels
+
+
+def _gamma(k, frac):
+    """A cap above the uniform share 1/(K+1), so an interior start exists;
+    without neighbors only gamma = 1 leaves the coefficient unclamped."""
+    return 1.0 if k == 0 else 1.0 / (k + 1) + frac * (1.0 - 1.0 / (k + 1))
+
+
+@settings(deadline=None, max_examples=12)
+@given(
+    seed=st.integers(0, 2**31),
+    f=st.integers(1, 4),
+    k=st.integers(0, 3),
+    d=st.integers(1, 2),
+    h=st.integers(1, 3),
+    gamma_frac=st.floats(0.3, 1.0),
+)
+def test_loss_and_grads_match_central_differences(seed, f, k, d, h, gamma_frac):
+    assume(h != d)
+    gamma = _gamma(k, gamma_frac)
+    model, x, y = _random_model(np.random.default_rng(seed), f, k, d, h, gamma)
+    floor = (1.0 - gamma) / k if k else 0.0
+    for i, (sub, ns) in enumerate(zip(model.submodules, model.neighbor_sets)):
+        pre = affine(sub.fc1_w, ns.flat_input, sub.fc1_b)
+        assume(np.min(np.abs(pre)) > 1e-3)  # away from the leaky-ReLU kink
+        a = alpha_pipeline(model, i).values
+        # strictly inside the clamp (K=0 with gamma=1 sits on the cap, unclamped)
+        assume(k == 0 or abs(a[0]) < gamma - 1e-3)
+        assume(k == 0 or np.min(np.abs(a[1:])) > floor + 1e-3)
+
+    _, grads = loss_and_grads(model, x, y)
+    flat_grad = np.concatenate([g.ravel() for g in grads])
+    assert [g.shape for g in grads] == [p.shape for p in model.parameters()]
+    x0 = flatten_params(model)
+
+    def f_loss(flat):
+        set_params(model, flat)
+        value = loss_and_grads(model, x, y)[0]
+        set_params(model, x0)
+        return value
+
+    err = finite_diff_check(f_loss, x0, flat_grad, eps=1e-5)
+    assert err < 1e-5, f"finite-difference disagreement {err:.3g}"
+
+
+@settings(deadline=None, max_examples=10)
+@given(seed=st.integers(0, 2**31), f=st.integers(1, 4), gamma_frac=st.floats(0.3, 0.9))
+def test_loss_and_grads_is_zero_when_every_coordinate_is_clamped(seed, f, gamma_frac):
+    gamma = _gamma(1, gamma_frac)
+    model, x, y = _random_model(np.random.default_rng(seed), f, 1, 2, 3, gamma)
+    for i, sub in enumerate(model.submodules):
+        # alpha_0 is capped, which pushes alpha_1 below the (1 - gamma) floor
+        sub.fc2_b[:] = [50.0, 0.001]
+        a = alpha_pipeline(model, i).values
+        assert a[0] == gamma and abs(a[1]) == 1.0 - gamma
+    loss, grads = loss_and_grads(model, x, y)
+    assert np.isfinite(loss)
+    assert all(np.max(np.abs(g)) == 0.0 for g in grads)
+
+
+@settings(deadline=None, max_examples=10)
+@given(seed=st.integers(0, 2**31), f=st.integers(1, 4), k=st.integers(0, 3))
+def test_loss_and_grads_is_bit_reproducible(seed, f, k):
+    model, x, y = _random_model(np.random.default_rng(seed), f, k, 2, 3, _gamma(k, 0.5))
+    loss1, g1 = loss_and_grads(model, x, y)
+    loss2, g2 = loss_and_grads(model, x, y)
+    assert np.float64(loss1).tobytes() == np.float64(loss2).tobytes()
+    assert [g.tobytes() for g in g1] == [g.tobytes() for g in g2]

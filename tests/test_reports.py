@@ -311,27 +311,6 @@ def test_gamma_sweep_rows_and_determinism(tiny_run):
     assert [r.report.to_dict() for r in rows] == [r.report.to_dict() for r in again]
 
 
-def test_gamma_sweep_threaded_matches_serial(tiny_run, monkeypatch):
-    ds, bank, cfg = tiny_run
-    monkeypatch.delenv("ALPHANET_THREADS", raising=False)
-    serial = gamma_sweep(bank, ds, cfg, [0.4, 0.8], partition="val")
-    monkeypatch.setenv("ALPHANET_THREADS", "2")
-    threaded = gamma_sweep(bank, ds, cfg, [0.4, 0.8], partition="val")
-    assert [r.report.to_dict() for r in serial] == [
-        r.report.to_dict() for r in threaded
-    ]
-
-
-def test_sweep_thread_cap_is_validated(tiny_run, monkeypatch):
-    ds, bank, cfg = tiny_run
-    monkeypatch.setenv("ALPHANET_THREADS", "zero")
-    with pytest.raises(ConfigError):
-        gamma_sweep(bank, ds, cfg, [0.4, 0.8])
-    monkeypatch.setenv("ALPHANET_THREADS", "0")
-    with pytest.raises(ConfigError):
-        gamma_sweep(bank, ds, cfg, [0.4, 0.8])
-
-
 def test_sweep_value_ranges_are_validated(tiny_run):
     ds, bank, cfg = tiny_run
     with pytest.raises(ConfigError):
