@@ -36,7 +36,6 @@ from .model import (
     normalize_alpha,
     sample_epoch,
     save_model,
-    score_batch,
     submodule_forward,
 )
 from .neighbors import (

@@ -132,11 +132,6 @@ def compose(a: AlphaVector, nb: NeighborSet) -> tuple[np.ndarray, float]:
     return u, float(t)
 
 
-def score_batch(features: np.ndarray, bank: ClassifierBank) -> np.ndarray:
-    """Score every sample against every class of the (composed) bank."""
-    return bank.scores(features)
-
-
 # ---------------------------------------------------------------------------
 # Sub-modules
 
@@ -366,7 +361,11 @@ def _few_scores_vjp(
 
 
 def loss_and_grads(
-    model: AlphaModel, features: np.ndarray, labels: np.ndarray
+    model: AlphaModel,
+    features: np.ndarray,
+    labels: np.ndarray,
+    *,
+    stacked: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
 ) -> tuple[float, list[np.ndarray]]:
     """Mean cross-entropy over the batch plus gradients for every sub-module
     parameter, in `model.parameters()` order.
@@ -374,12 +373,16 @@ def loss_and_grads(
     Gradients flow through scoring, composition, clamping (zero on clamped
     coordinates) and normalization back into both layers; base-class scores
     enter the softmax but their classifiers are frozen constants.
+
+    `stacked` takes the (parameters, neighbor tensors) pair that `_stacked`
+    returns, in place of the sub-modules' own arrays; the gradients then come
+    back stacked like those parameters. `fit` trains on stacked parameters.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[0] == 0:
         raise ShapeError(f"batch features must be 2-D and nonempty, got {features.shape}")
-    params, (flat_inputs, full_rows, set_biases) = _stacked(model)
+    params, (flat_inputs, full_rows, set_biases) = _stacked(model) if stacked is None else stacked
     fc1_w, _, fc2_w, _ = params
     pre, hidden, raw, norm, alpha = _alpha_forward(model, params, flat_inputs)
     u, t = _linear_mix(alpha, full_rows, set_biases)
@@ -395,7 +398,9 @@ def loss_and_grads(
     g_fc2_w, g_hidden, g_fc2_b = affine_vjp(fc2_w, hidden, g_raw)
     g_pre = leaky_relu_vjp(pre, model.slope, g_hidden)
     g_fc1_w, _, g_fc1_b = affine_vjp(fc1_w, flat_inputs, g_pre)
-    stacked_grads = (g_fc1_w, g_fc1_b, g_fc2_w, g_fc2_b)
+    stacked_grads = [g_fc1_w, g_fc1_b, g_fc2_w, g_fc2_b]
+    if stacked is not None:
+        return loss, stacked_grads
     return loss, [g[i] for i in range(len(few)) for g in stacked_grads]
 
 
@@ -471,7 +476,10 @@ def fit(
     rng = np.random.default_rng(seed)
     split = model.bank.split
     val_x, val_y = ds.partition_arrays("val")
-    velocities = [np.zeros_like(p) for p in model.parameters()]
+    # Training updates the stacked parameters, one step per stacked array,
+    # and copies them into the sub-modules before each validation.
+    params, inputs = _stacked(model)
+    velocities = [np.zeros_like(p) for p in params]
     best_few_top1, best_epoch, best_params = -np.inf, -1, model.snapshot()
     log: list[dict] = []
 
@@ -482,17 +490,22 @@ def fit(
         for batch_index, start in enumerate(range(0, order.size, batch_size)):
             batch = order[start : start + batch_size]
             try:
-                loss, grads = loss_and_grads(model, ds.features[batch], ds.labels[batch])
+                loss, grads = loss_and_grads(
+                    model, ds.features[batch], ds.labels[batch], stacked=(params, inputs)
+                )
             except NumericError as exc:
                 raise TrainingError(
                     f"training failed at epoch {epoch}, batch {batch_index}: {exc}"
                 ) from exc
             loss_sum += loss * batch.size
-            for param, grad, vel in zip(model.parameters(), grads, velocities):
+            for param, grad, vel in zip(params, grads, velocities):
                 if weight_decay:
                     grad = grad + weight_decay * param
                 sgd_momentum_step(param, grad, vel, lr, momentum)
-        report = split_report(score_batch(val_x, export_composed(model)), val_y, split)
+        for i, sub in enumerate(model.submodules):
+            for param, group in zip(sub.params(), params):
+                param[...] = group[i]
+        report = split_report(export_composed(model).scores(val_x), val_y, split)
         few = report.accuracy("few")
         entry = {
             "epoch": epoch,

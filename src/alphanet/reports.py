@@ -16,38 +16,57 @@ from scipy import stats
 
 from .config import RunConfig
 from .data import ClassifierBank, ComposedBank, FeatureDataset, _atomic_write_bytes
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .model import AlphaModel, FitResult, build_model, export_composed, fit
 
 REPORT_SPLITS = ("few", "medium", "many", "all")
 
 
-def _check_scores(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _check_matrix(scores: np.ndarray) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
     if scores.ndim != 2:
         raise ShapeError(f"scores must be 2-D, got {scores.shape}")
+    # NaN has no place in a score order: it is the one value on which a
+    # rank count, argmax and a sort would disagree.
+    if np.isnan(scores).any():
+        raise NumericError("scores contain NaN")
+    return scores
+
+
+def _check_scores(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    scores = _check_matrix(scores)
+    labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (scores.shape[0],):
         raise ShapeError(f"labels {labels.shape} do not match scores {scores.shape}")
+    if labels.size and not (0 <= labels.min() and labels.max() < scores.shape[1]):
+        raise ShapeError(f"labels must lie in [0, {scores.shape[1]}) to index the score columns")
     return scores, labels
 
 
 def topk_accuracy(scores: np.ndarray, labels: np.ndarray, k: int) -> float:
-    """Fraction of samples whose label is among the k highest scores."""
+    """Fraction of samples whose label is among the k highest scores.
+
+    Nothing is sorted. A label's rank is the number of classes that score
+    strictly higher plus those that score equal with a lower class id, which
+    is its position in a stable sort by descending score; the sample is a hit
+    when that rank is below k.
+    """
     scores, labels = _check_scores(scores, labels)
     n_classes = scores.shape[1]
     if not 1 <= k <= n_classes:
         raise ConfigError(f"k={k} must be in [1, {n_classes}]")
     if labels.size == 0:
         raise ConfigError("topk_accuracy: empty batch")
-    # Stable sort on negated scores: equal scores keep ascending class id.
-    order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-    return float(np.mean(np.any(order == labels[:, None], axis=1)))
+    label_scores = np.take_along_axis(scores, labels[:, None], axis=1)
+    lower_id = np.arange(n_classes) < labels[:, None]
+    ahead = (scores > label_scores) | ((scores == label_scores) & lower_id)
+    return float(np.mean(np.count_nonzero(ahead, axis=1) < k))
 
 
 def top1_predictions(scores: np.ndarray) -> np.ndarray:
-    scores = np.asarray(scores, dtype=np.float64)
-    return np.argsort(-scores, axis=1, kind="stable")[:, 0]
+    """Highest-scoring class per row; `argmax` returns the first maximum,
+    so ties go to the lower class id."""
+    return np.argmax(_check_matrix(scores), axis=1)
 
 
 @dataclass(frozen=True)

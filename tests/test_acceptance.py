@@ -36,7 +36,6 @@ from alphanet.model import (
     loss_and_grads,
     normalize_alpha,
     save_model,
-    score_batch,
     set_params,
     submodule_forward,
 )
@@ -240,7 +239,7 @@ def test_criterion_6_exactness_suite(tmp_path):
         sub.fc2_b[:] = 0.0
         sub.fc2_b[0] = 1.0
     ident_err = float(
-        np.max(np.abs(score_batch(x, export_composed(ident_model)) - score_batch(x, bank)))
+        np.max(np.abs(export_composed(ident_model).scores(x) - bank.scores(x)))
     )
 
     # trained coefficients respect the normalization and clamp contracts

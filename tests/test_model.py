@@ -31,12 +31,12 @@ from alphanet.model import (
     raw_alpha,
     sample_epoch,
     save_model,
-    score_batch,
     set_params,
     submodule_forward,
 )
 from alphanet.neighbors import NeighborSet
 from alphanet.numerics import finite_diff_check
+from alphanet.reports import split_report
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +270,7 @@ def test_identity_composition_reproduces_baseline_scores():
     _force_identity_alpha(model)
     composed = export_composed(model)
     x, _ = ds.partition_arrays("val")
-    diff = np.abs(score_batch(x, composed) - score_batch(x, bank))
+    diff = np.abs(composed.scores(x) - bank.scores(x))
     assert np.max(diff) <= 1e-12
     assert composed.weights.tobytes() == bank.weights.tobytes()
     assert composed.biases.tobytes() == bank.biases.tobytes()
@@ -278,7 +278,7 @@ def test_identity_composition_reproduces_baseline_scores():
 
 def test_score_batch_zero_features_give_biases():
     ds, bank = _small_problem()
-    scores = score_batch(np.zeros((2, bank.feature_dim)), bank)
+    scores = bank.scores(np.zeros((2, bank.feature_dim)))
     assert np.array_equal(scores[0], bank.biases)
     assert np.array_equal(scores[1], bank.biases)
 
@@ -564,6 +564,17 @@ def test_fit_is_bit_reproducible():
     assert flatten_params(r1.model).tobytes() == flatten_params(r2.model).tobytes()
     assert r1.log == r2.log
     assert r1.best_epoch == r2.best_epoch
+
+
+def test_fit_leaves_the_model_at_its_last_validated_parameters():
+    ds, bank = _small_problem()
+    model = build_model(bank, ds, top_k=2, reduced_dim=3, seed=5)
+    before = flatten_params(model)
+    result = fit(model, ds, epochs=3, seed=5)
+    assert not np.array_equal(flatten_params(model), before)
+    x, y = ds.partition_arrays("val")
+    report = split_report(export_composed(model).scores(x), y, bank.split)
+    assert report.to_dict() == result.log[-1]["val"]
 
 
 def test_fit_ties_keep_the_earlier_epoch():

@@ -14,6 +14,7 @@ from alphanet.model import (
     _few_scores_vjp,
     _linear_mix,
     _linear_mix_vjp,
+    _stacked,
     alpha_pipeline,
     flatten_params,
     init_submodule,
@@ -470,3 +471,7 @@ def test_loss_and_grads_is_bit_reproducible(seed, f, k):
     loss2, g2 = loss_and_grads(model, x, y)
     assert np.float64(loss1).tobytes() == np.float64(loss2).tobytes()
     assert [g.tobytes() for g in g1] == [g.tobytes() for g in g2]
+    # The stacked path that `fit` trains on gives the same bits, stacked.
+    loss3, g3 = loss_and_grads(model, x, y, stacked=_stacked(model))
+    assert np.float64(loss3).tobytes() == np.float64(loss1).tobytes()
+    assert [g.tobytes() for g in g3] == [np.stack(g1[j::4]).tobytes() for j in range(4)]

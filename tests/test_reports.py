@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from alphanet.config import RunConfig
 from alphanet.data import assign_splits
 from alphanet.datagen import GenConfig, generate, train_baseline
-from alphanet.errors import ConfigError, ShapeError
+from alphanet.errors import ConfigError, NumericError, ShapeError
 from alphanet.neighbors import NeighborSet
 from alphanet.reports import (
     ClasswiseReport,
@@ -161,6 +161,89 @@ def test_split_report_to_dict_round_trip_fields():
     labels = np.array([0, 1, 2])
     d = split_report(_one_hot_scores(labels, 3), labels, split).to_dict()
     assert d["few"] == {"top1": 1.0, "top5": 1.0, "n": 1}
+
+
+# ---------------------------------------------------------------------------
+# Label-rank metrics against the stable-argsort code they replaced
+
+
+def _argsort_topk(scores, labels, k):
+    """Reference: the label is among the first k of a stable sort on the
+    negated scores, so equal scores keep ascending class id."""
+    order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    return float(np.mean(np.any(order == labels[:, None], axis=1)))
+
+
+def _argsort_split_report(scores, labels, split):
+    k5 = min(5, scores.shape[1])
+    groups = [(name, np.isin(labels, split.ids_of(name))) for name in ("many", "medium", "few")]
+    groups.append(("all", np.ones(labels.shape, dtype=bool)))
+    return {
+        name: {
+            "top1": _argsort_topk(scores[mask], labels[mask], 1),
+            "top5": _argsort_topk(scores[mask], labels[mask], k5),
+            "n": int(mask.sum()),
+        }
+        for name, mask in groups
+        if mask.any()
+    }
+
+
+# Few distinct values make ties common; signed zeros and infinities are legal.
+_SCORE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf]),
+    st.floats(-2.0, 2.0).map(lambda x: round(x, 1)),
+)
+
+
+@st.composite
+def _scored_batches(draw):
+    n_classes = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 12))
+    cells = draw(st.lists(_SCORE_VALUES, min_size=n * n_classes, max_size=n * n_classes))
+    labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
+    # Train counts of 150/50/5 make many/medium/few classes; some splits
+    # have no class, others have classes but no sample.
+    counts = draw(st.lists(st.sampled_from([150, 50, 5]), min_size=n_classes, max_size=n_classes))
+    return np.array(cells).reshape(n, n_classes), np.array(labels), assign_splits(counts)
+
+
+@given(_scored_batches())
+def test_label_rank_metrics_match_the_stable_argsort_reference(batch):
+    scores, labels, split = batch
+    assert split_report(scores, labels, split).to_dict() == _argsort_split_report(
+        scores, labels, split
+    )
+    for k in range(1, scores.shape[1] + 1):
+        assert topk_accuracy(scores, labels, k) == _argsort_topk(scores, labels, k)
+    assert np.array_equal(
+        top1_predictions(scores), np.argsort(-scores, axis=1, kind="stable")[:, 0]
+    )
+
+
+def test_metrics_reject_nan_scores():
+    split = assign_splits([150, 50, 5])
+    labels = np.array([0, 1, 2])
+    scores = np.zeros((3, 3))
+    scores[1, 2] = np.nan
+    with pytest.raises(NumericError):
+        topk_accuracy(scores, labels, 1)
+    with pytest.raises(NumericError):
+        split_report(scores, labels, split)
+    with pytest.raises(NumericError):
+        top1_predictions(scores)
+    with pytest.raises(NumericError):
+        classwise_report(np.zeros((3, 3)), scores, labels, {2: 1.0})
+
+
+def test_metrics_reject_labels_outside_the_score_columns():
+    split = assign_splits([150, 50, 5])
+    scores = np.zeros((2, 3))
+    for labels in (np.array([0, 3]), np.array([-1, 0])):
+        with pytest.raises(ShapeError):
+            topk_accuracy(scores, labels, 1)
+        with pytest.raises(ShapeError):
+            split_report(scores, labels, split)
 
 
 # ---------------------------------------------------------------------------
