@@ -212,6 +212,15 @@ def cmd_datagen(args) -> None:
     _write_run_json(out, "datagen", cfg.to_dict(), cfg.seed, t0)
 
 
+def _top1_line(report) -> str:
+    """Top-1 per split, as "few 0.xxx, medium 0.xxx, ..."; absent splits are left out."""
+    return ", ".join(
+        f"{name} {acc.top1:.3f}"
+        for name in ("few", "medium", "many", "all")
+        if (acc := report.accuracy(name)) is not None
+    )
+
+
 def cmd_baseline(args) -> None:
     t0 = time.monotonic()
     ds = load_dataset(_require_file(args.dataset, "--dataset"))
@@ -227,12 +236,7 @@ def cmd_baseline(args) -> None:
     save_bank(out / "bank.json", bank)
     features, labels = ds.partition_arrays("val")
     report = split_report(bank.scores(features), labels, bank.split)
-    line = ", ".join(
-        f"{name} {acc.top1:.3f}"
-        for name in ("few", "medium", "many", "all")
-        if (acc := report.accuracy(name)) is not None
-    )
-    print(f"wrote {out / 'bank.json'}; val top-1: {line}")
+    print(f"wrote {out / 'bank.json'}; val top-1: {_top1_line(report)}")
     config = {
         "dataset": str(args.dataset),
         "epochs": args.epochs,
@@ -295,12 +299,7 @@ def cmd_eval(args) -> None:
     _atomic_write_bytes(
         out / "eval.json", (json.dumps(summary, indent=2) + "\n").encode("utf-8")
     )
-    line = ", ".join(
-        f"{name} {acc.top1:.3f}"
-        for name in ("few", "medium", "many", "all")
-        if (acc := report.accuracy(name)) is not None
-    )
-    print(f"composed {args.partition} top-1: {line}")
+    print(f"composed {args.partition} top-1: {_top1_line(report)}")
     _write_run_json(out, "eval", cfg.to_dict() | {"partition": args.partition}, cfg.seed, t0)
 
 

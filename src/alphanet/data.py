@@ -302,11 +302,6 @@ def read_tensor(path) -> np.ndarray:
 # Manifest-based containers
 
 
-def _write_manifest(path, manifest: dict) -> None:
-    text = json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True)
-    _atomic_write_bytes(path, text.encode("utf-8") + b"\n")
-
-
 def _read_manifest(path) -> dict:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
@@ -314,31 +309,33 @@ def _read_manifest(path) -> dict:
         raise IntegrityError(f"manifest {path} is not valid JSON: {exc}") from exc
 
 
-def _tensor_name(manifest_path: Path, key: str) -> str:
-    stem = manifest_path.name
-    if stem.endswith(".json"):
-        stem = stem[: -len(".json")]
-    return f"{stem}_{key}.alft"
+def _write_bundle(path, tensors: dict[str, np.ndarray], manifest: dict) -> None:
+    """Write each tensor as `<stem>_<key>.alft` beside the manifest, then the
+    JSON manifest at `path` with those file names under "tensor_files"."""
+    path = Path(path)
+    stem = path.name.removesuffix(".json")
+    tensor_files = {}
+    for key, arr in tensors.items():
+        name = f"{stem}_{key}.alft"
+        write_tensor(path.parent / name, arr)
+        tensor_files[key] = name
+    text = json.dumps(
+        manifest | {"tensor_files": tensor_files}, ensure_ascii=False, indent=2, sort_keys=True
+    )
+    _atomic_write_bytes(path, text.encode("utf-8") + b"\n")
 
 
 def save_bank(path, bank: ClassifierBank) -> None:
     """Write a bank as `<path>` (JSON manifest) plus tensor files alongside."""
-    path = Path(path)
-    tensors = {"weights": bank.weights, "biases": bank.biases}
-    tensor_files = {}
-    for key, arr in tensors.items():
-        name = _tensor_name(path, key)
-        write_tensor(path.parent / name, arr)
-        tensor_files[key] = name
-    _write_manifest(
+    _write_bundle(
         path,
+        {"weights": bank.weights, "biases": bank.biases},
         {
             "n_classes": bank.n_classes,
             "feature_dim": bank.feature_dim,
             "splits": list(bank.split.labels),
             "counts": list(bank.split.train_counts),
             "provenance": bank.provenance,
-            "tensor_files": tensor_files,
         },
     )
 
@@ -377,24 +374,17 @@ def save_dataset(path, ds: FeatureDataset) -> None:
     Labels and partition codes are stored as binary64 tensors; integer values
     of this size round-trip exactly.
     """
-    path = Path(path)
-    tensors = {
-        "features": ds.features,
-        "labels": ds.labels.astype(np.float64),
-        "partitions": ds.partitions.astype(np.float64),
-    }
-    tensor_files = {}
-    for key, arr in tensors.items():
-        name = _tensor_name(path, key)
-        write_tensor(path.parent / name, arr)
-        tensor_files[key] = name
-    _write_manifest(
+    _write_bundle(
         path,
+        {
+            "features": ds.features,
+            "labels": ds.labels.astype(np.float64),
+            "partitions": ds.partitions.astype(np.float64),
+        },
         {
             "n_samples": ds.n_samples,
             "n_classes": ds.n_classes,
             "feature_dim": ds.feature_dim,
-            "tensor_files": tensor_files,
         },
     )
 

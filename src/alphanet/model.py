@@ -13,7 +13,7 @@ base samples; base classifiers stay frozen throughout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +23,10 @@ from .data import (
     ComposedBank,
     FeatureDataset,
     SplitSpec,
+    _atomic_write_bytes,
     _read_manifest,
-    _tensor_name,
-    _write_manifest,
+    _write_bundle,
     read_tensor,
-    write_tensor,
 )
 from .errors import ConfigError, IntegrityError, NumericError, ShapeError, TrainingError
 from .neighbors import (
@@ -148,9 +147,6 @@ class SubModule:
     def params(self) -> list[np.ndarray]:
         return [self.fc1_w, self.fc1_b, self.fc2_w, self.fc2_b]
 
-    def copy(self) -> "SubModule":
-        return SubModule(*(p.copy() for p in self.params()))
-
 
 def init_submodule(
     rng: np.random.Generator,
@@ -191,9 +187,21 @@ def submodule_forward(sub: SubModule, input_vec: np.ndarray, slope: float) -> Al
 # The full model
 
 
+def _stack(arrays, shape: tuple[int, ...]) -> np.ndarray:
+    """Equal-shaped arrays stacked along a new leading axis; none give (0, *shape)."""
+    return np.array(arrays, dtype=np.float64).reshape((len(arrays), *shape))
+
+
 @dataclass
 class AlphaModel:
-    """All sub-modules plus the frozen inputs they operate on."""
+    """All sub-modules plus the frozen inputs they operate on.
+
+    `params` is the only parameter storage: the sub-module arrays stacked
+    along a leading few-class axis, (F, h, (K+1)d), (F, h), (F, K+1, h) and
+    (F, K+1). `_inputs` holds the frozen neighbor tensors, stacked the same
+    way once per model: flat inputs (F, (K+1)d), full rows (F, K+1, D) and
+    biases (F, K+1).
+    """
 
     gamma: float
     top_k: int
@@ -201,32 +209,45 @@ class AlphaModel:
     hidden: int
     slope: float
     neighbor_sets: list[NeighborSet]
-    submodules: list[SubModule]
+    params: list[np.ndarray]
     bank: ClassifierBank
     strict_alpha: bool = False
+    _inputs: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         few = self.bank.split.few_ids
-        if len(self.neighbor_sets) != len(few) or len(self.submodules) != len(few):
+        f, kp1, h = len(few), self.top_k + 1, self.hidden
+        shapes = [(f, h, kp1 * self.reduced_dim), (f, h), (f, kp1, h), (f, kp1)]
+        got = [np.shape(p) for p in self.params]
+        if len(self.neighbor_sets) != f or got != shapes:
             raise IntegrityError(
-                f"model needs one sub-module and neighbor set per few class "
-                f"({len(few)}), got {len(self.submodules)} and {len(self.neighbor_sets)}"
+                f"model needs one neighbor set per few class ({f}) and parameters "
+                f"shaped {shapes}, got {len(self.neighbor_sets)} and {got}"
             )
         for ns, target in zip(self.neighbor_sets, few):
             if ns.target != target:
                 raise IntegrityError(
                     f"neighbor set for class {ns.target} out of order (expected {target})"
                 )
+        sets = self.neighbor_sets
+        self._inputs = (
+            _stack([ns.flat_input for ns in sets], (kp1 * self.reduced_dim,)),
+            _stack([ns.full_rows for ns in sets], (kp1, self.bank.feature_dim)),
+            _stack([ns.biases for ns in sets], (kp1,)),
+        )
 
     @property
     def few_ids(self) -> tuple[int, ...]:
         return self.bank.split.few_ids
 
-    def parameters(self) -> list[np.ndarray]:
-        return [p for sub in self.submodules for p in sub.params()]
+    @property
+    def submodules(self) -> list[SubModule]:
+        """One sub-module per few class, as views of the stacked parameters:
+        in-place edits reach every forward pass."""
+        return [SubModule(*(p[i] for p in self.params)) for i in range(len(self.few_ids))]
 
-    def snapshot(self) -> list[SubModule]:
-        return [sub.copy() for sub in self.submodules]
+    def parameters(self) -> list[np.ndarray]:
+        return list(self.params)
 
 
 def build_model(
@@ -257,9 +278,12 @@ def build_model(
         )
     means = class_means(ds)
     proj = pca_fit(bank.weights, reduced_dim)
-    sets, subs = [], []
+    f, kp1 = split.n_few, top_k + 1
+    sets = []
+    shapes = [(f, hidden, kp1 * reduced_dim), (f, hidden), (f, kp1, hidden), (f, kp1)]
+    params = [np.empty(shape) for shape in shapes]
     rng = np.random.default_rng(seed)
-    for target in split.few_ids:
+    for i, target in enumerate(split.few_ids):
         ranked = base_distances(means, split, target)[:top_k]
         ns = build_neighbor_set(
             bank,
@@ -269,17 +293,17 @@ def build_model(
             distances=[dist for dist, _ in ranked],
         )
         sets.append(ns)
-        subs.append(
-            init_submodule(
-                rng,
-                in_dim=(top_k + 1) * reduced_dim,
-                hidden=hidden,
-                n_out=top_k + 1,
-                gamma=gamma,
-                init_gain=init_gain,
-                init_margin=init_margin,
-            )
+        sub = init_submodule(
+            rng,
+            in_dim=kp1 * reduced_dim,
+            hidden=hidden,
+            n_out=kp1,
+            gamma=gamma,
+            init_gain=init_gain,
+            init_margin=init_margin,
         )
+        for stack, p in zip(params, sub.params()):
+            stack[i] = p
     return AlphaModel(
         gamma=gamma,
         top_k=top_k,
@@ -287,7 +311,7 @@ def build_model(
         hidden=hidden,
         slope=slope,
         neighbor_sets=sets,
-        submodules=subs,
+        params=params,
         bank=bank,
         strict_alpha=strict_alpha,
     )
@@ -301,24 +325,11 @@ def alpha_pipeline(model: AlphaModel, index: int) -> AlphaVector:
     return clamp_alpha(a, model.gamma)
 
 
-def _stacked(model: AlphaModel) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Sub-module parameters, (F, h, (K+1)d), (F, h), (F, K+1, h), (F, K+1),
-    and neighbor tensors, (F, (K+1)d), (F, K+1, D), (F, K+1), stacked along a
-    leading few-class axis. Stacked on every call: callers may edit a
-    sub-module's arrays in place."""
-    params = [np.stack(group) for group in zip(*(sub.params() for sub in model.submodules))]
-    inputs = [
-        np.stack(group)
-        for group in zip(*((ns.flat_input, ns.full_rows, ns.biases) for ns in model.neighbor_sets))
-    ]
-    return params, inputs
-
-
-def _alpha_forward(model: AlphaModel, params: list[np.ndarray], flat_inputs: np.ndarray):
+def _alpha_forward(model: AlphaModel):
     """fc1 -> leaky relu -> fc2 -> normalize -> clamp for every few class at
     once; returns the output of each stage."""
-    fc1_w, fc1_b, fc2_w, fc2_b = params
-    pre = affine(fc1_w, flat_inputs, fc1_b)
+    fc1_w, fc1_b, fc2_w, fc2_b = model.params
+    pre = affine(fc1_w, model._inputs[0], fc1_b)
     hidden = leaky_relu(pre, model.slope)
     raw = affine(fc2_w, hidden, fc2_b)
     norm = abs_normalize(raw, strict=model.strict_alpha)
@@ -332,9 +343,9 @@ def export_composed(model: AlphaModel, bank: ClassifierBank | None = None) -> Co
         bank = model.bank
     weights = bank.weights.copy()
     biases = bank.biases.copy()
-    if model.submodules:
-        params, (flat_inputs, full_rows, set_biases) = _stacked(model)
-        alpha = _alpha_forward(model, params, flat_inputs)[-1]
+    if model.few_ids:
+        _, full_rows, set_biases = model._inputs
+        alpha = _alpha_forward(model)[-1]
         few = list(model.few_ids)
         weights[few], biases[few] = _linear_mix(alpha, full_rows, set_biases)
     return ComposedBank(
@@ -361,30 +372,22 @@ def _few_scores_vjp(
 
 
 def loss_and_grads(
-    model: AlphaModel,
-    features: np.ndarray,
-    labels: np.ndarray,
-    *,
-    stacked: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
+    model: AlphaModel, features: np.ndarray, labels: np.ndarray
 ) -> tuple[float, list[np.ndarray]]:
-    """Mean cross-entropy over the batch plus gradients for every sub-module
-    parameter, in `model.parameters()` order.
+    """Mean cross-entropy over the batch plus the gradients of the four
+    stacked parameter arrays, in `model.parameters()` order.
 
     Gradients flow through scoring, composition, clamping (zero on clamped
     coordinates) and normalization back into both layers; base-class scores
     enter the softmax but their classifiers are frozen constants.
-
-    `stacked` takes the (parameters, neighbor tensors) pair that `_stacked`
-    returns, in place of the sub-modules' own arrays; the gradients then come
-    back stacked like those parameters. `fit` trains on stacked parameters.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[0] == 0:
         raise ShapeError(f"batch features must be 2-D and nonempty, got {features.shape}")
-    params, (flat_inputs, full_rows, set_biases) = _stacked(model) if stacked is None else stacked
-    fc1_w, _, fc2_w, _ = params
-    pre, hidden, raw, norm, alpha = _alpha_forward(model, params, flat_inputs)
+    flat_inputs, full_rows, set_biases = model._inputs
+    fc1_w, _, fc2_w, _ = model.params
+    pre, hidden, raw, norm, alpha = _alpha_forward(model)
     u, t = _linear_mix(alpha, full_rows, set_biases)
     few = list(model.few_ids)
     scores = model.bank.scores(features)
@@ -398,10 +401,7 @@ def loss_and_grads(
     g_fc2_w, g_hidden, g_fc2_b = affine_vjp(fc2_w, hidden, g_raw)
     g_pre = leaky_relu_vjp(pre, model.slope, g_hidden)
     g_fc1_w, _, g_fc1_b = affine_vjp(fc1_w, flat_inputs, g_pre)
-    stacked_grads = [g_fc1_w, g_fc1_b, g_fc2_w, g_fc2_b]
-    if stacked is not None:
-        return loss, stacked_grads
-    return loss, [g[i] for i in range(len(few)) for g in stacked_grads]
+    return loss, [g_fc1_w, g_fc1_b, g_fc2_w, g_fc2_b]
 
 
 def flatten_params(model: AlphaModel) -> np.ndarray:
@@ -462,8 +462,9 @@ def fit(
     weight_decay: float = 0.0,
     on_epoch=None,
 ) -> FitResult:
-    """Train the sub-modules and return the epoch snapshot with the best
-    few-split validation top-1 (ties keep the earlier epoch).
+    """Train `model.params` in place and return a model holding a copy of the
+    parameters from the epoch with the best few-split validation top-1 (ties
+    keep the earlier epoch).
 
     The learning rate decays by 0.1 every 20 epochs. The per-epoch log
     records mean training loss, the learning rate, and validation top-1/top-5
@@ -476,11 +477,9 @@ def fit(
     rng = np.random.default_rng(seed)
     split = model.bank.split
     val_x, val_y = ds.partition_arrays("val")
-    # Training updates the stacked parameters, one step per stacked array,
-    # and copies them into the sub-modules before each validation.
-    params, inputs = _stacked(model)
+    params = model.params
     velocities = [np.zeros_like(p) for p in params]
-    best_few_top1, best_epoch, best_params = -np.inf, -1, model.snapshot()
+    best_few_top1, best_epoch, best_params = -np.inf, -1, [p.copy() for p in params]
     log: list[dict] = []
 
     for epoch in range(epochs):
@@ -490,9 +489,7 @@ def fit(
         for batch_index, start in enumerate(range(0, order.size, batch_size)):
             batch = order[start : start + batch_size]
             try:
-                loss, grads = loss_and_grads(
-                    model, ds.features[batch], ds.labels[batch], stacked=(params, inputs)
-                )
+                loss, grads = loss_and_grads(model, ds.features[batch], ds.labels[batch])
             except NumericError as exc:
                 raise TrainingError(
                     f"training failed at epoch {epoch}, batch {batch_index}: {exc}"
@@ -502,9 +499,6 @@ def fit(
                 if weight_decay:
                     grad = grad + weight_decay * param
                 sgd_momentum_step(param, grad, vel, lr, momentum)
-        for i, sub in enumerate(model.submodules):
-            for param, group in zip(sub.params(), params):
-                param[...] = group[i]
         report = split_report(export_composed(model).scores(val_x), val_y, split)
         few = report.accuracy("few")
         entry = {
@@ -517,21 +511,10 @@ def fit(
         if on_epoch is not None:
             on_epoch(entry)
         if few is not None and few.top1 > best_few_top1:
-            best_few_top1, best_epoch, best_params = few.top1, epoch, model.snapshot()
+            best_few_top1, best_epoch, best_params = few.top1, epoch, [p.copy() for p in params]
 
-    best = AlphaModel(
-        gamma=model.gamma,
-        top_k=model.top_k,
-        reduced_dim=model.reduced_dim,
-        hidden=model.hidden,
-        slope=model.slope,
-        neighbor_sets=model.neighbor_sets,
-        submodules=[sub.copy() for sub in best_params],
-        bank=model.bank,
-        strict_alpha=model.strict_alpha,
-    )
     return FitResult(
-        model=best,
+        model=replace(model, params=best_params),
         log=log,
         best_epoch=best_epoch,
         best_few_top1=best_few_top1,
@@ -545,23 +528,20 @@ def fit(
 def save_model(path, model: AlphaModel) -> None:
     """Write the sub-module parameters and frozen neighbor inputs as a JSON
     manifest plus stacked 2-D tensor files alongside."""
-    path = Path(path)
+    fc1_w, fc1_b, fc2_w, fc2_b = model.params
+    flat_inputs, full_rows, set_biases = model._inputs
     tensors = {
-        "fc1_w": np.concatenate([s.fc1_w for s in model.submodules]),
-        "fc1_b": np.stack([s.fc1_b for s in model.submodules]),
-        "fc2_w": np.concatenate([s.fc2_w for s in model.submodules]),
-        "fc2_b": np.stack([s.fc2_b for s in model.submodules]),
-        "reduced": np.concatenate([ns.reduced for ns in model.neighbor_sets]),
-        "set_biases": np.stack([ns.biases for ns in model.neighbor_sets]),
-        "full_rows": np.concatenate([ns.full_rows for ns in model.neighbor_sets]),
+        "fc1_w": fc1_w.reshape(-1, fc1_w.shape[-1]),
+        "fc1_b": fc1_b,
+        "fc2_w": fc2_w.reshape(-1, fc2_w.shape[-1]),
+        "fc2_b": fc2_b,
+        "reduced": flat_inputs.reshape(-1, model.reduced_dim),
+        "set_biases": set_biases,
+        "full_rows": full_rows.reshape(-1, full_rows.shape[-1]),
     }
-    tensor_files = {}
-    for key, arr in tensors.items():
-        name = _tensor_name(path, key)
-        write_tensor(path.parent / name, arr)
-        tensor_files[key] = name
-    _write_manifest(
+    _write_bundle(
         path,
+        tensors,
         {
             "gamma": model.gamma,
             "top_k": model.top_k,
@@ -569,11 +549,10 @@ def save_model(path, model: AlphaModel) -> None:
             "hidden": model.hidden,
             "slope": model.slope,
             "strict_alpha": model.strict_alpha,
-            "n_few": len(model.submodules),
+            "n_few": len(model.few_ids),
             "few_ids": list(model.few_ids),
             "neighbors": [list(ns.neighbor_ids) for ns in model.neighbor_sets],
             "distances": [list(ns.distances) for ns in model.neighbor_sets],
-            "tensor_files": tensor_files,
         },
     )
 
@@ -612,26 +591,19 @@ def load_model(path, bank: ClassifierBank) -> AlphaModel:
             raise IntegrityError(
                 f"model tensor {key} has shape {arrays[key].shape}, expected {shape}"
             )
-    subs, sets = [], []
-    for i in range(f):
-        subs.append(
-            SubModule(
-                fc1_w=arrays["fc1_w"][i * hidden : (i + 1) * hidden].copy(),
-                fc1_b=arrays["fc1_b"][i].copy(),
-                fc2_w=arrays["fc2_w"][i * kp1 : (i + 1) * kp1].copy(),
-                fc2_b=arrays["fc2_b"][i].copy(),
-            )
+    reduced = arrays["reduced"].reshape(f, kp1, reduced_dim)
+    full_rows = arrays["full_rows"].reshape(f, kp1, bank.feature_dim)
+    sets = [
+        NeighborSet(
+            target=few_ids[i],
+            neighbor_ids=tuple(neighbors[i]),
+            reduced=reduced[i],
+            biases=arrays["set_biases"][i],
+            full_rows=full_rows[i],
+            distances=tuple(distances[i]),
         )
-        sets.append(
-            NeighborSet(
-                target=few_ids[i],
-                neighbor_ids=tuple(neighbors[i]),
-                reduced=arrays["reduced"][i * kp1 : (i + 1) * kp1].copy(),
-                biases=arrays["set_biases"][i].copy(),
-                full_rows=arrays["full_rows"][i * kp1 : (i + 1) * kp1].copy(),
-                distances=tuple(distances[i]),
-            )
-        )
+        for i in range(f)
+    ]
     return AlphaModel(
         gamma=float(m["gamma"]),
         top_k=top_k,
@@ -639,7 +611,12 @@ def load_model(path, bank: ClassifierBank) -> AlphaModel:
         hidden=hidden,
         slope=float(m["slope"]),
         neighbor_sets=sets,
-        submodules=subs,
+        params=[
+            arrays["fc1_w"].reshape(f, hidden, kp1 * reduced_dim),
+            arrays["fc1_b"],
+            arrays["fc2_w"].reshape(f, kp1, hidden),
+            arrays["fc2_b"],
+        ],
         bank=bank,
         strict_alpha=bool(m["strict_alpha"]),
     )
@@ -648,6 +625,4 @@ def load_model(path, bank: ClassifierBank) -> AlphaModel:
 def write_train_log(path, log: list[dict]) -> None:
     """One JSON object per epoch, newline-delimited."""
     text = "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in log)
-    from .data import _atomic_write_bytes
-
     _atomic_write_bytes(path, text.encode("utf-8"))

@@ -31,7 +31,6 @@ __all__ = [
     "cap_floor_clamp_vjp",
     "softmax",
     "mean_softmax_xent",
-    "softmax_xent",
     "sgd_momentum_step",
     "finite_diff_check",
 ]
@@ -162,7 +161,9 @@ def mean_softmax_xent(scores: np.ndarray, labels) -> tuple[float, np.ndarray]:
     labels = np.asarray(labels)
     if scores.ndim != 2 or labels.shape != scores.shape[:1]:
         raise ShapeError(f"mean_softmax_xent: scores {scores.shape} vs labels {labels.shape}")
-    n = scores.shape[0]
+    n, n_classes = scores.shape
+    if n and not (0 <= labels.min() and labels.max() < n_classes):
+        raise ShapeError(f"mean_softmax_xent: labels must lie in [0, {n_classes})")
     rows = np.arange(n)
     shifted = scores - np.max(scores, axis=-1, keepdims=True)
     losses = np.log(np.sum(np.exp(shifted), axis=-1)) - shifted[rows, labels]
@@ -172,20 +173,6 @@ def mean_softmax_xent(scores: np.ndarray, labels) -> tuple[float, np.ndarray]:
     grad = softmax(scores)
     grad[rows, labels] -= 1.0
     return float(losses.mean()), (1.0 / n) * grad
-
-
-def softmax_xent(scores: np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    """Cross-entropy of softmax(scores) against `label`, plus its gradient.
-
-    Returns ``(loss, grad)`` with ``grad[k] = softmax(scores)[k] - 1{k==label}``;
-    the gradient coordinates sum to zero.
-    """
-    scores = as_vector(scores, "scores")
-    n = scores.shape[0]
-    if not 0 <= label < n:
-        raise IndexError(f"label {label} out of range for {n} scores")
-    loss, grad = mean_softmax_xent(scores[None, :], np.array([label]))
-    return loss, grad[0]
 
 
 def sgd_momentum_step(

@@ -309,7 +309,10 @@ def test_model_shape_bookkeeping():
     model = build_model(bank, ds, gamma=0.6, top_k=2, reduced_dim=3, hidden=5, seed=0)
     n_few = len(bank.split.few_ids)
     assert len(model.submodules) == n_few
-    assert len(model.parameters()) == 4 * n_few
+    assert len(model.parameters()) == 4
+    assert [p.shape for p in model.parameters()] == [
+        (n_few, 5, 3 * 3), (n_few, 5), (n_few, 3, 5), (n_few, 3)
+    ]
     for sub in model.submodules:
         assert sub.fc1_w.shape == (5, 3 * 3)
         assert sub.fc2_w.shape == (3, 5)
@@ -327,7 +330,7 @@ def test_alpha_model_rejects_mismatched_submodule_count():
             hidden=model.hidden,
             slope=model.slope,
             neighbor_sets=model.neighbor_sets,
-            submodules=model.submodules[:-1],
+            params=[p[:-1] for p in model.parameters()],
             bank=bank,
         )
 
@@ -642,6 +645,31 @@ def test_model_round_trip_is_bit_exact(tmp_path):
     b = export_composed(back)
     assert a.weights.tobytes() == b.weights.tobytes()
     assert a.biases.tobytes() == b.biases.tobytes()
+
+
+def test_submodules_are_views_of_the_stacked_parameters(tmp_path):
+    ds, bank = _small_problem()
+    model = build_model(bank, ds, top_k=2, reduced_dim=3, seed=0)
+    fitted = fit(model, ds, epochs=3, seed=0).model
+    save_model(tmp_path / "model.json", fitted)
+    for m in (model, fitted, load_model(tmp_path / "model.json", bank)):
+        # export_composed's few rows are the per-class pipeline's, bit for bit
+        composed = export_composed(m)
+        for i, (c, ns) in enumerate(zip(m.few_ids, m.neighbor_sets)):
+            u, t = compose(alpha_pipeline(m, i), ns)
+            assert composed.weights[c].tobytes() == u.tobytes()
+            assert composed.biases[c] == t
+
+    x, y = ds.features[:6], ds.labels[:6]
+    loss_before, _ = loss_and_grads(model, x, y)
+    few_before = export_composed(model).weights[list(model.few_ids)].copy()
+    edited = model.parameters()[3][-1, 0] + 0.5
+    model.submodules[-1].fc2_b[0] += 0.5  # an in-place edit through a view
+    assert model.parameters()[3][-1, 0] == edited
+    assert loss_and_grads(model, x, y)[0] != loss_before
+    few_after = export_composed(model).weights[list(model.few_ids)]
+    assert np.array_equal(few_after[:-1], few_before[:-1])
+    assert not np.array_equal(few_after[-1], few_before[-1])
 
 
 def test_load_model_rejects_mismatched_bank(tmp_path):

@@ -14,7 +14,6 @@ from alphanet.model import (
     _few_scores_vjp,
     _linear_mix,
     _linear_mix_vjp,
-    _stacked,
     alpha_pipeline,
     flatten_params,
     init_submodule,
@@ -34,7 +33,6 @@ from alphanet.numerics import (
     leaky_relu_vjp,
     mean_softmax_xent,
     sgd_momentum_step,
-    softmax_xent,
 )
 
 
@@ -103,24 +101,32 @@ def test_leaky_relu_rejects_bad_slope():
         leaky_relu(np.zeros(2), -0.1)
 
 
+def _row_xent(scores, label):
+    """Loss and gradient of one score row, as a one-row `mean_softmax_xent`."""
+    loss, grad = mean_softmax_xent(np.asarray(scores)[None, :], [label])
+    return loss, grad[0]
+
+
 def test_softmax_xent_symmetric_pair():
-    loss, grad = softmax_xent(np.array([0.0, 0.0]), 0)
+    loss, grad = _row_xent(np.array([0.0, 0.0]), 0)
     assert loss == pytest.approx(math.log(2), abs=1e-15)
     assert grad == pytest.approx([-0.5, 0.5], abs=1e-15)
 
 
 def test_softmax_xent_dominant_score():
-    loss, _ = softmax_xent(np.array([10.0, 0.0, 0.0]), 0)
+    loss, _ = _row_xent(np.array([10.0, 0.0, 0.0]), 0)
     # direct evaluation of -log(e^10 / (e^10 + 2))
     assert loss == pytest.approx(math.log(1.0 + 2.0 * math.exp(-10.0)), rel=1e-12)
     assert loss == pytest.approx(9.08e-5, rel=1e-2)
 
 
 def test_softmax_xent_label_out_of_range():
-    with pytest.raises(IndexError):
-        softmax_xent(np.array([1.0, 2.0]), 2)
-    with pytest.raises(IndexError):
-        softmax_xent(np.array([1.0, 2.0]), -1)
+    # -1 would otherwise score the last column; N would index past the scores
+    for bad in (-1, 2):
+        with pytest.raises(ShapeError, match=r"\[0, 2\)"):
+            _row_xent(np.array([1.0, 2.0]), bad)
+        with pytest.raises(ShapeError):
+            mean_softmax_xent(np.array([[1.0, 2.0], [0.5, 0.0]]), [0, bad])
 
 
 @given(seed=st.integers(0, 2**31), n=st.integers(2, 12))
@@ -128,7 +134,7 @@ def test_softmax_xent_loss_nonnegative_grad_sums_to_zero(seed, n):
     rng = np.random.default_rng(seed)
     scores = rng.normal(scale=5.0, size=n)
     label = int(rng.integers(n))
-    loss, grad = softmax_xent(scores, label)
+    loss, grad = _row_xent(scores, label)
     assert loss >= 0.0
     assert abs(grad.sum()) < 1e-12
 
@@ -329,7 +335,7 @@ def test_tape_mean_softmax_xent_gradients(seed):
         s = flat.reshape(4, 6)
         total = 0.0
         for row, lab in zip(s, labels):
-            total += softmax_xent(row, int(lab))[0]
+            total += _row_xent(row, int(lab))[0]
         return total / 4.0
 
     err = finite_diff_check(f, scores.ravel(), grad.ravel(), eps=1e-5)
@@ -357,7 +363,7 @@ def test_tape_batch_scores_and_overwrite_columns_gradients():
         s = base.copy()
         s[:, few] = feats @ wf.T + bf
         return float(
-            np.mean([softmax_xent(row, int(l))[0] for row, l in zip(s, labels)])
+            np.mean([_row_xent(row, int(l))[0] for row, l in zip(s, labels)])
         )
 
     f_w = lambda flat: mean_row_losses(flat.reshape(2, 4), b)  # noqa: E731
@@ -398,7 +404,8 @@ def _random_model(rng, f, k, d, h, gamma):
         subs.append(sub)
     model = AlphaModel(
         gamma=gamma, top_k=k, reduced_dim=d, hidden=h, slope=0.01,
-        neighbor_sets=sets, submodules=subs, bank=bank,
+        neighbor_sets=sets, params=[np.stack(g) for g in zip(*(sub.params() for sub in subs))],
+        bank=bank,
     )
     features = rng.normal(scale=2.0, size=(5, dim))
     labels = rng.integers(0, n_base + f, size=5)
@@ -471,7 +478,3 @@ def test_loss_and_grads_is_bit_reproducible(seed, f, k):
     loss2, g2 = loss_and_grads(model, x, y)
     assert np.float64(loss1).tobytes() == np.float64(loss2).tobytes()
     assert [g.tobytes() for g in g1] == [g.tobytes() for g in g2]
-    # The stacked path that `fit` trains on gives the same bits, stacked.
-    loss3, g3 = loss_and_grads(model, x, y, stacked=_stacked(model))
-    assert np.float64(loss3).tobytes() == np.float64(loss1).tobytes()
-    assert [g.tobytes() for g in g3] == [np.stack(g1[j::4]).tobytes() for j in range(4)]
