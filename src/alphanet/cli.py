@@ -145,11 +145,7 @@ def _require_file(path: str | None, flag: str) -> Path:
 
 
 def _run_config(args) -> RunConfig:
-    flag_values = {
-        name: getattr(args, name)
-        for name in RunConfig.field_names()
-        if hasattr(args, name)
-    }
+    flag_values = {name: getattr(args, name) for name in RunConfig.field_names()}
     return RunConfig.merged(_load_json_config(args.config), flag_values)
 
 
@@ -168,8 +164,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--many-gt", dest="many_gt", type=int)
-    p.add_argument("--few-lt", dest="few_lt", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--strict-alpha", dest="strict_alpha", action=argparse.BooleanOptionalAction)
     p.add_argument("--init-gain", dest="init_gain", type=float)
@@ -186,11 +180,8 @@ def cmd_datagen(args) -> None:
     for name in (
         "n_classes", "feature_dim", "head_count", "tail_count", "n_groups",
         "val_per_class", "test_per_class", "many_gt", "few_lt", "seed",
+        "decay_exponent", "sigma", "mean_scale", "group_spread",
     ):
-        v = getattr(args, name)
-        if v is not None:
-            values[name] = v
-    for name in ("decay_exponent", "sigma", "mean_scale", "group_spread"):
         v = getattr(args, name)
         if v is not None:
             values[name] = v
@@ -273,9 +264,8 @@ def cmd_train(args) -> None:
 
 def cmd_eval(args) -> None:
     t0 = time.monotonic()
-    cfg = _run_config(args)
-    ds = load_dataset(_require_file(cfg.dataset, "--dataset"))
-    bank = load_bank(_require_file(cfg.bank, "--bank"))
+    ds = load_dataset(_require_file(args.dataset, "--dataset"))
+    bank = load_bank(_require_file(args.bank, "--bank"))
     composed = load_bank(_require_file(args.composed, "--composed"))
     out = _out_dir(args)
     features, labels = ds.partition_arrays(args.partition)
@@ -300,7 +290,9 @@ def cmd_eval(args) -> None:
         out / "eval.json", (json.dumps(summary, indent=2) + "\n").encode("utf-8")
     )
     print(f"composed {args.partition} top-1: {_top1_line(report)}")
-    _write_run_json(out, "eval", cfg.to_dict() | {"partition": args.partition}, cfg.seed, t0)
+    names = ("dataset", "bank", "composed", "out_dir", "partition", "seed")
+    config = {name: getattr(args, name) for name in names}
+    _write_run_json(out, "eval", config, args.seed, t0)
 
 
 def cmd_sweep(args) -> None:
@@ -378,9 +370,12 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a composed bank and report per-split/per-class metrics")
-    _add_run_flags(p)
-    p.add_argument("--composed", help="composed bank manifest path")
+    p.add_argument("--dataset", required=True)
+    p.add_argument("--bank", required=True, help="baseline classifier bank manifest path")
+    p.add_argument("--composed", required=True, help="composed bank manifest path")
+    p.add_argument("--out-dir", dest="out_dir", required=True)
     p.add_argument("--partition", choices=("train", "val", "test"), default="test")
+    p.add_argument("--seed", type=int, default=0, help="recorded in run.json only")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="train once per grid value and tabulate accuracy")

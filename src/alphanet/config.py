@@ -9,7 +9,8 @@ from .errors import ConfigError
 
 @dataclass
 class RunConfig:
-    """Everything a training/eval run needs besides the data itself.
+    """Everything a training run or sweep needs besides the data itself. The
+    many/medium/few split comes with the dataset and its bank.
 
     Precedence when assembling one: CLI flag > config file > these defaults.
     """
@@ -27,8 +28,6 @@ class RunConfig:
     batch_size: int = 64
     epochs: int = 100
     weight_decay: float = 0.0
-    many_gt: int = 100
-    few_lt: int = 20
     seed: int = 0
     strict_alpha: bool = False
     init_gain: float = 2.5
@@ -55,10 +54,6 @@ class RunConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.weight_decay < 0.0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.few_lt > self.many_gt:
-            raise ConfigError(
-                f"few_lt {self.few_lt} must not exceed many_gt {self.many_gt}"
-            )
         if self.init_gain <= 0.0:
             raise ConfigError(f"init_gain must be positive, got {self.init_gain}")
         if not 0.0 < self.init_margin < 1.0:

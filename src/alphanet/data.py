@@ -46,6 +46,11 @@ PARTITION_CODES = {TRAIN: 0, VAL: 1, TEST: 2}
 
 _F64_LE = np.dtype("<f8")
 
+#: Default split thresholds, the standard long-tailed benchmark values:
+#: many > MANY_GT train samples, few < FEW_LT.
+MANY_GT = 100
+FEW_LT = 20
+
 
 # ---------------------------------------------------------------------------
 # Split assignment
@@ -98,12 +103,10 @@ class SplitSpec:
         return tuple(i for i, lab in enumerate(self.labels) if lab == split_name)
 
 
-def assign_splits(
-    train_counts, many_gt: int = 100, few_lt: int = 20
-) -> SplitSpec:
+def assign_splits(train_counts, many_gt: int = MANY_GT, few_lt: int = FEW_LT) -> SplitSpec:
     """Label classes by train-set size: many > `many_gt`, few < `few_lt`,
-    medium in between (inclusive). Thresholds default to the standard
-    long-tailed benchmark values and may be scaled for small datasets.
+    medium in between (inclusive). Thresholds may be scaled for small
+    datasets.
     """
     counts = [int(c) for c in np.asarray(train_counts).ravel()]
     if not counts:
@@ -182,15 +185,27 @@ class FeatureDataset:
     """Labeled feature vectors partitioned into train/val/test.
 
     Raw inputs never appear here; samples enter the pipeline as the feature
-    vectors a frozen backbone would produce.
+    vectors a frozen backbone would produce. The dataset owns its split
+    thresholds: `split()` labels classes by their train counts with them.
     """
 
     features: np.ndarray
     labels: np.ndarray
     partitions: np.ndarray  # uint8 codes per PARTITION_CODES
     n_classes: int
+    many_gt: int = MANY_GT
+    few_lt: int = FEW_LT
 
     def __post_init__(self):
+        if any(type(t) is not int for t in (self.many_gt, self.few_lt)):
+            raise IntegrityError(
+                f"split thresholds must be integers, got many_gt {self.many_gt!r}, "
+                f"few_lt {self.few_lt!r}"
+            )
+        if self.few_lt > self.many_gt:
+            raise IntegrityError(
+                f"split thresholds inverted: few_lt {self.few_lt} exceeds many_gt {self.many_gt}"
+            )
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
         self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
         self.partitions = np.ascontiguousarray(self.partitions, dtype=np.uint8)
@@ -235,6 +250,10 @@ class FeatureDataset:
         """Per-class sample counts over the train partition."""
         idx = self.indices(TRAIN)
         return np.bincount(self.labels[idx], minlength=self.n_classes)
+
+    def split(self) -> SplitSpec:
+        """Many/medium/few labels from the train counts and this dataset's thresholds."""
+        return assign_splits(self.train_counts(), self.many_gt, self.few_lt)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +391,7 @@ def save_dataset(path, ds: FeatureDataset) -> None:
     """Write a dataset as `<path>` (JSON manifest) plus tensor files alongside.
 
     Labels and partition codes are stored as binary64 tensors; integer values
-    of this size round-trip exactly.
+    of this size round-trip exactly. The split thresholds go into the manifest.
     """
     _write_bundle(
         path,
@@ -385,11 +404,15 @@ def save_dataset(path, ds: FeatureDataset) -> None:
             "n_samples": ds.n_samples,
             "n_classes": ds.n_classes,
             "feature_dim": ds.feature_dim,
+            "many_gt": ds.many_gt,
+            "few_lt": ds.few_lt,
         },
     )
 
 
 def load_dataset(path) -> FeatureDataset:
+    """Inverse of `save_dataset`. A manifest without split thresholds gets the
+    defaults, so datasets saved without them still load."""
     path = Path(path)
     m = _read_manifest(path)
     try:
@@ -416,8 +439,10 @@ def load_dataset(path) -> FeatureDataset:
             labels=labels.astype(np.int64),
             partitions=partitions.astype(np.uint8),
             n_classes=n_classes,
+            many_gt=m.get("many_gt", MANY_GT),
+            few_lt=m.get("few_lt", FEW_LT),
         )
-    except NumericError as exc:
+    except (NumericError, IntegrityError) as exc:
         raise IntegrityError(f"dataset {path}: {exc}") from exc
 
 

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import ClassifierBank, FeatureDataset, SplitSpec, assign_splits
+from .data import FEW_LT, MANY_GT, ClassifierBank, FeatureDataset, SplitSpec, assign_splits
 from .errors import ConfigError, TrainingError
 from .numerics import softmax
 
@@ -48,8 +48,8 @@ class GenConfig:
     group_spread: float = 0.5
     val_per_class: int = 20
     test_per_class: int = 20
-    many_gt: int = 100
-    few_lt: int = 20
+    many_gt: int = MANY_GT
+    few_lt: int = FEW_LT
     seed: int = 0
 
     def validate(self) -> None:
@@ -73,6 +73,10 @@ class GenConfig:
             raise ConfigError(f"n_groups must be >= 0, got {self.n_groups}")
         if self.group_spread <= 0:
             raise ConfigError(f"group_spread must be positive, got {self.group_spread}")
+        if any(type(t) is not int for t in (self.many_gt, self.few_lt)):
+            raise ConfigError(
+                f"many_gt and few_lt must be integers, got {self.many_gt!r}, {self.few_lt!r}"
+            )
         for r in np.atleast_1d(np.asarray(self.rho, dtype=np.float64)):
             if not 0.0 <= r <= 1.0:
                 raise ConfigError(f"rho values must lie in [0, 1], got {r}")
@@ -173,6 +177,8 @@ def generate(cfg: GenConfig) -> tuple[FeatureDataset, SplitSpec, np.ndarray]:
         labels=np.concatenate(labels),
         partitions=np.concatenate(parts),
         n_classes=n,
+        many_gt=cfg.many_gt,
+        few_lt=cfg.few_lt,
     )
     return ds, split, means
 
@@ -182,7 +188,6 @@ def train_baseline(
     epochs: int = 60,
     lr: float = 0.5,
     seed: int = 0,
-    split: SplitSpec | None = None,
     batch_size: int = 64,
     momentum: float = 0.9,
 ) -> ClassifierBank:
@@ -190,17 +195,13 @@ def train_baseline(
     the naturally imbalanced train partition, then freeze it.
 
     Training on the imbalanced joint distribution leaves the few-class rows
-    under-fit on purpose. Deterministic given the seed.
+    under-fit on purpose. The bank carries the dataset's own split.
+    Deterministic given the seed.
     """
     train_x, train_y = ds.partition_arrays("train")
     if train_x.shape[0] == 0:
         raise ConfigError("train partition is empty")
-    if split is None:
-        split = assign_splits(ds.train_counts())
-    if split.n_classes != ds.n_classes:
-        raise ConfigError(
-            f"split has {split.n_classes} classes, dataset has {ds.n_classes}"
-        )
+    split = ds.split()
 
     rng = np.random.default_rng(seed)
     n, d = ds.n_classes, ds.feature_dim

@@ -525,6 +525,10 @@ def fit(
 # Snapshot serialization
 
 
+#: The tensor files of a saved model, keys of its manifest's "tensor_files".
+_MODEL_TENSORS = ("fc1_w", "fc1_b", "fc2_w", "fc2_b", "reduced", "set_biases", "full_rows")
+
+
 def save_model(path, model: AlphaModel) -> None:
     """Write the sub-module parameters and frozen neighbor inputs as a JSON
     manifest plus stacked 2-D tensor files alongside."""
@@ -566,12 +570,20 @@ def load_model(path, bank: ClassifierBank) -> AlphaModel:
         top_k = int(m["top_k"])
         hidden = int(m["hidden"])
         reduced_dim = int(m["reduced_dim"])
-        arrays = {k: read_tensor(path.parent / v) for k, v in m["tensor_files"].items()}
+        gamma, slope, strict_alpha = float(m["gamma"]), float(m["slope"]), bool(m["strict_alpha"])
+        arrays = {k: read_tensor(path.parent / m["tensor_files"][k]) for k in _MODEL_TENSORS}
         few_ids = [int(c) for c in m["few_ids"]]
         neighbors = [[int(c) for c in ids] for ids in m["neighbors"]]
         distances = [[float(x) for x in row] for row in m["distances"]]
     except KeyError as exc:
         raise IntegrityError(f"model manifest {path} missing field {exc}") from exc
+    if not len(few_ids) == len(neighbors) == len(distances) == f:
+        raise IntegrityError(
+            f"model manifest {path} has {len(few_ids)} few ids, {len(neighbors)} neighbor "
+            f"lists and {len(distances)} distance lists for n_few {f}"
+        )
+    if any(len(ids) != top_k for ids in neighbors):
+        raise IntegrityError(f"model manifest {path}: a neighbor list is not {top_k} long")
     kp1 = top_k + 1
     if tuple(few_ids) != bank.split.few_ids:
         raise IntegrityError(
@@ -605,11 +617,11 @@ def load_model(path, bank: ClassifierBank) -> AlphaModel:
         for i in range(f)
     ]
     return AlphaModel(
-        gamma=float(m["gamma"]),
+        gamma=gamma,
         top_k=top_k,
         reduced_dim=reduced_dim,
         hidden=hidden,
-        slope=float(m["slope"]),
+        slope=slope,
         neighbor_sets=sets,
         params=[
             arrays["fc1_w"].reshape(f, hidden, kp1 * reduced_dim),
@@ -618,7 +630,7 @@ def load_model(path, bank: ClassifierBank) -> AlphaModel:
             arrays["fc2_b"],
         ],
         bank=bank,
-        strict_alpha=bool(m["strict_alpha"]),
+        strict_alpha=strict_alpha,
     )
 
 

@@ -79,6 +79,15 @@ def test_eval_outputs_are_consistent(pipeline):
         "partition", "baseline", "composed", "spearman_distance_vs_delta",
     }
     assert 0.0 <= summary["composed"]["all"]["top1"] <= 1.0
+    payload = json.loads((evald / "run.json").read_text())
+    assert payload["config"] == {
+        "dataset": str(pipeline["data"] / "dataset.json"),
+        "bank": str(pipeline["base"] / "bank.json"),
+        "composed": str(pipeline["run"] / "composed.json"),
+        "out_dir": str(evald),
+        "partition": "test",
+        "seed": 0,
+    }
 
 
 def test_run_json_echoes_the_merged_config(pipeline):
@@ -133,6 +142,27 @@ def test_sweep_covers_the_whole_grid(pipeline):
     payload = json.loads((out / "run.json").read_text())
     assert payload["config"]["axis"] == "gamma"
     assert payload["config"]["grid"] == "0.1:0.9:0.1"
+
+
+def test_datagen_thresholds_reach_the_bank_and_the_model(tmp_path):
+    data, base, run = (tmp_path / n for n in ("data", "base", "run"))
+    assert main([
+        "datagen", "--out-dir", str(data), "--few-lt", "40",
+        "--val-per-class", "2", "--test-per-class", "2",
+    ]) == 0
+    assert json.loads((data / "dataset.json").read_text())["few_lt"] == 40
+    assert main([
+        "baseline", "--dataset", str(data / "dataset.json"),
+        "--out-dir", str(base), "--epochs", "2",
+    ]) == 0
+    assert json.loads((base / "bank.json").read_text())["splits"].count("few") == 17
+    assert main([
+        "train", "--dataset", str(data / "dataset.json"),
+        "--bank", str(base / "bank.json"), "--out-dir", str(run), "--epochs", "1",
+    ]) == 0
+    assert json.loads((run / "model.json").read_text())["n_few"] == 17
+    config = json.loads((run / "run.json").read_text())["config"]
+    assert "few_lt" not in config and "many_gt" not in config
 
 
 def test_datagen_accepts_a_per_class_rho_list(pipeline, tmp_path):
@@ -194,11 +224,34 @@ def test_exit_1_for_unknown_config_key(pipeline, tmp_path, capsys):
     assert "gamme" in capsys.readouterr().err
 
 
-def test_exit_1_for_bad_choice_or_missing_flag(capsys):
+def test_exit_1_for_bad_choice_or_missing_flag(pipeline, tmp_path, capsys):
     assert main(["sweep", "--axis", "sideways", "--grid", "1:2:1"]) == 1
     assert main(["baseline", "--out-dir", "/tmp/unused"]) == 1
     assert main(["datagen", "--out-dir", "/tmp/unused", "--n-classes", "1"]) == 1
     capsys.readouterr()
+    # flags a command does not read are refused, not recorded and ignored
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"epochs": 1}))
+    inputs = [
+        "--dataset", str(pipeline["data"] / "dataset.json"),
+        "--bank", str(pipeline["base"] / "bank.json"), "--out-dir", str(tmp_path / "out"),
+    ]
+    commands = {
+        "train": ["train", *inputs, "--epochs", "1", "--top-k", "2", "--reduced-dim", "4"],
+        "eval": ["eval", *inputs, "--composed", str(pipeline["run"] / "composed.json")],
+        "sweep": ["sweep", *inputs, "--axis", "gamma", "--grid", "0.5",
+                  "--epochs", "1", "--top-k", "2", "--reduced-dim", "4"],
+    }
+    for command, extra in (
+        ("train", ["--few-lt", "4"]),
+        ("train", ["--many-gt", "60"]),
+        ("eval", ["--few-lt", "4"]),
+        ("eval", ["--gamma", "0.3"]),
+        ("eval", ["--config", str(cfg_path)]),
+        ("sweep", ["--few-lt", "4"]),
+    ):
+        assert main(commands[command] + extra) == 1, (command, extra)
+        assert f"unrecognized arguments: {extra[0]}" in capsys.readouterr().err
 
 
 def test_exit_2_for_corrupt_tensor_file(pipeline, tmp_path, capsys):
@@ -216,6 +269,15 @@ def test_exit_2_for_corrupt_tensor_file(pipeline, tmp_path, capsys):
     ])
     assert rc == 2
     assert "byte offset 0" in capsys.readouterr().err
+
+    manifest_path = data_copy / "dataset.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["many_gt"], manifest["few_lt"] = 10, 40
+    manifest_path.write_text(json.dumps(manifest))
+    shutil.copy(pipeline["data"] / "dataset_features.alft", feat)
+    rc = main(["baseline", "--dataset", str(manifest_path), "--out-dir", str(tmp_path / "b")])
+    assert rc == 2
+    assert "inverted" in capsys.readouterr().err
 
 
 def test_exit_3_for_diverged_training(pipeline, tmp_path, capsys):

@@ -246,7 +246,7 @@ def test_bank_scores_shape_check():
         bank.scores(np.zeros((2, bank.feature_dim + 1)))
 
 
-def _random_dataset(rng, n_classes=4, d=3):
+def _random_dataset(rng, n_classes=4, d=3, **thresholds):
     per_class = [8, 6, 5, 3][:n_classes]
     feats, labels, parts = [], [], []
     for c, m in enumerate(per_class):
@@ -258,17 +258,43 @@ def _random_dataset(rng, n_classes=4, d=3):
         labels=np.array(labels),
         partitions=np.array(parts, dtype=np.uint8),
         n_classes=n_classes,
+        **thresholds,
     )
 
 
 def test_dataset_round_trip_preserves_order_and_partitions(tmp_path):
-    ds = _random_dataset(np.random.default_rng(7))
-    save_dataset(tmp_path / "ds.json", ds)
-    back = load_dataset(tmp_path / "ds.json")
-    assert back.features.tobytes() == ds.features.tobytes()
-    assert np.array_equal(back.labels, ds.labels)
-    assert np.array_equal(back.partitions, ds.partitions)
-    assert back.n_classes == ds.n_classes
+    for thresholds in ({}, {"many_gt": 5, "few_lt": 3}):
+        ds = _random_dataset(np.random.default_rng(7), **thresholds)
+        save_dataset(tmp_path / "ds.json", ds)
+        back = load_dataset(tmp_path / "ds.json")
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert np.array_equal(back.labels, ds.labels)
+        assert np.array_equal(back.partitions, ds.partitions)
+        assert back.n_classes == ds.n_classes
+        assert (back.many_gt, back.few_lt) == (ds.many_gt, ds.few_lt)
+        assert back.split() == ds.split()
+
+
+def test_dataset_manifest_without_thresholds_loads_with_defaults(tmp_path):
+    path = tmp_path / "ds.json"
+    save_dataset(path, _random_dataset(np.random.default_rng(7), many_gt=5, few_lt=3))
+    manifest = json.loads(path.read_text())
+    assert (manifest.pop("many_gt"), manifest.pop("few_lt")) == (5, 3)
+    path.write_text(json.dumps(manifest))
+    back = load_dataset(path)
+    assert (back.many_gt, back.few_lt) == (100, 20)
+    assert back.split() == assign_splits(back.train_counts())
+
+
+def test_dataset_manifest_with_inverted_thresholds_is_rejected(tmp_path):
+    path = tmp_path / "ds.json"
+    save_dataset(path, _random_dataset(np.random.default_rng(7)))
+    manifest = json.loads(path.read_text())
+    manifest["many_gt"], manifest["few_lt"] = 3, 5
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(IntegrityError) as exc:
+        load_dataset(path)
+    assert "ds.json" in str(exc.value) and "inverted" in str(exc.value)
 
 
 def test_dataset_with_empty_partition_round_trips(tmp_path):
@@ -296,15 +322,26 @@ def test_dataset_partition_helpers():
     x, y = ds.partition_arrays("train")
     assert x.shape[0] == y.shape[0] == ds.indices("train").size
     assert np.array_equal(ds.train_counts(), [6, 4, 3, 1])
+    assert ds.split().labels == ("few",) * 4
+    ds.many_gt, ds.few_lt = 5, 3
+    assert ds.split().labels == ("many", "medium", "medium", "few")
     with pytest.raises(ConfigError):
         ds.indices("frobnicate")
 
 
 def test_feature_dataset_validates_labels():
-    with pytest.raises(IntegrityError):
-        FeatureDataset(
-            features=np.zeros((2, 3)),
-            labels=np.array([0, 5]),
-            partitions=np.zeros(2, dtype=np.uint8),
-            n_classes=2,
-        )
+    for labels, thresholds in (
+        ([0, 5], {}),
+        ([0, 1], {"many_gt": 10, "few_lt": 11}),
+        ([0, 1], {"few_lt": 20.0}),
+        ([0, 1], {"many_gt": "100"}),
+        ([0, 1], {"few_lt": True}),
+    ):
+        with pytest.raises(IntegrityError):
+            FeatureDataset(
+                features=np.zeros((2, 3)),
+                labels=np.array(labels),
+                partitions=np.zeros(2, dtype=np.uint8),
+                n_classes=2,
+                **thresholds,
+            )

@@ -134,6 +134,8 @@ def test_genconfig_validation():
     with pytest.raises(ConfigError):
         GenConfig(rho=1.5).validate()
     with pytest.raises(ConfigError):
+        GenConfig(few_lt=20.5).validate()
+    with pytest.raises(ConfigError):
         GenConfig.from_dict({"n_classes": 10, "bogus_knob": 1})
 
 
@@ -183,9 +185,14 @@ def test_baseline_divergence_reports_epoch():
 
 
 def test_baseline_bank_carries_the_dataset_split():
-    ds, split, _ = generate(GenConfig(n_classes=10, head_count=120, tail_count=4, seed=4))
-    bank = train_baseline(ds, epochs=2, seed=0)
-    assert bank.split == split
-    x, y = ds.partition_arrays("val")
-    report = split_report(bank.scores(x), y, bank.split)
-    assert set(report.per_split) <= {"many", "medium", "few", "all"}
+    n_few = []
+    for few_lt in (20, 40):
+        cfg = GenConfig(n_classes=10, head_count=120, tail_count=4, few_lt=few_lt, seed=4)
+        ds, split, _ = generate(cfg)
+        bank = train_baseline(ds, epochs=2, seed=0)
+        assert bank.split == split == ds.split()
+        n_few.append(split.n_few)
+        x, y = ds.partition_arrays("val")
+        report = split_report(bank.scores(x), y, bank.split)
+        assert set(report.per_split) <= {"many", "medium", "few", "all"}
+    assert n_few[0] < n_few[1]

@@ -1,5 +1,9 @@
 """Alpha pipeline stages, composition, gradients, training loop, snapshots."""
 
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -684,3 +688,78 @@ def test_load_model_rejects_mismatched_bank(tmp_path):
     )
     with pytest.raises(IntegrityError):
         load_model(tmp_path / "model.json", other)
+
+
+#: Ways to cut a saved model manifest short, each one field.
+_MANIFEST_CUTS = {
+    "short_neighbors": lambda m: m["neighbors"].pop(),
+    "short_distances": lambda m: m["distances"].pop(),
+    "short_neighbor_row": lambda m: m["neighbors"][0].pop(),
+    "no_fc2_b_tensor": lambda m: m["tensor_files"].pop("fc2_b"),
+    "no_gamma": lambda m: m.pop("gamma"),
+    "no_slope": lambda m: m.pop("slope"),
+    "no_strict_alpha": lambda m: m.pop("strict_alpha"),
+}
+
+
+@pytest.mark.parametrize("cut", list(_MANIFEST_CUTS))
+def test_load_model_rejects_an_incomplete_manifest(tmp_path, cut):
+    ds, bank = _small_problem(seed=0)
+    path = tmp_path / "model.json"
+    save_model(path, build_model(bank, ds, top_k=2, reduced_dim=3, seed=0))
+    manifest = json.loads(path.read_text())
+    _MANIFEST_CUTS[cut](manifest)
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(IntegrityError) as exc:
+        load_model(path, bank)
+    assert "model.json" in str(exc.value)
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    seed=st.integers(0, 2**31),
+    f=st.integers(0, 3),
+    k=st.integers(0, 3),
+    d=st.integers(1, 3),
+    h=st.integers(1, 3),
+    strict_alpha=st.booleans(),
+)
+def test_model_round_trip_is_bit_exact_for_any_shape(seed, f, k, d, h, strict_alpha):
+    rng = np.random.default_rng(seed)
+    n_base, dim = k + 1, 4
+    bank = ClassifierBank(
+        weights=rng.normal(size=(n_base + f, dim)),
+        biases=rng.normal(size=n_base + f),
+        split=assign_splits([150] * n_base + [5] * f),
+    )
+    sets = [
+        NeighborSet(
+            target=target,
+            neighbor_ids=tuple(int(c) for c in rng.permutation(n_base)[:k]),
+            reduced=rng.normal(size=(k + 1, d)),
+            biases=rng.normal(size=k + 1),
+            full_rows=rng.normal(size=(k + 1, dim)),
+            distances=tuple(float(x) for x in np.sort(rng.exponential(size=k))),
+        )
+        for target in bank.split.few_ids
+    ]
+    shapes = [(f, h, (k + 1) * d), (f, h), (f, k + 1, h), (f, k + 1)]
+    model = AlphaModel(
+        gamma=float(rng.uniform(0.1, 1.0)), top_k=k, reduced_dim=d, hidden=h,
+        slope=float(rng.uniform(0.0, 0.5)), neighbor_sets=sets,
+        params=[rng.normal(size=shape) for shape in shapes], bank=bank,
+        strict_alpha=strict_alpha,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        save_model(Path(tmp) / "model.json", model)
+        back = load_model(Path(tmp) / "model.json", bank)
+    for name in ("gamma", "top_k", "reduced_dim", "hidden", "slope", "strict_alpha"):
+        assert getattr(back, name) == getattr(model, name)
+    for p, q in zip(model.parameters(), back.parameters(), strict=True):
+        assert p.shape == q.shape and p.tobytes() == q.tobytes()
+    assert len(back.neighbor_sets) == f
+    for ns1, ns2 in zip(model.neighbor_sets, back.neighbor_sets):
+        for name in ("target", "neighbor_ids", "distances"):
+            assert getattr(ns1, name) == getattr(ns2, name)
+        for name in ("reduced", "biases", "full_rows"):
+            assert getattr(ns1, name).tobytes() == getattr(ns2, name).tobytes()
