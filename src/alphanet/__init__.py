@@ -41,7 +41,6 @@ from .model import (
 from .neighbors import (
     NeighborSet,
     PcaProjection,
-    build_neighbor_set,
     class_means,
     knn_base,
     pca_apply,

@@ -267,6 +267,15 @@ def cmd_eval(args) -> None:
     ds = load_dataset(_require_file(args.dataset, "--dataset"))
     bank = load_bank(_require_file(args.bank, "--bank"))
     composed = load_bank(_require_file(args.composed, "--composed"))
+    base = list(bank.split.base_ids)
+    if composed.split != bank.split or any(
+        a[base].tobytes() != b[base].tobytes()
+        for a, b in ((composed.weights, bank.weights), (composed.biases, bank.biases))
+    ):
+        raise IntegrityError(
+            f"composed bank {args.composed} was not built from {args.bank}: "
+            "their splits or base-class rows differ"
+        )
     out = _out_dir(args)
     features, labels = ds.partition_arrays(args.partition)
     base_scores = bank.scores(features)

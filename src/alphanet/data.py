@@ -445,8 +445,3 @@ def load_dataset(path) -> FeatureDataset:
     except (NumericError, IntegrityError) as exc:
         raise IntegrityError(f"dataset {path}: {exc}") from exc
 
-
-def class_train_indices(ds: FeatureDataset, class_id: int) -> np.ndarray:
-    """Train-partition sample indices of one class."""
-    idx = ds.indices(TRAIN)
-    return idx[ds.labels[idx] == class_id]

@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import FEW_LT, MANY_GT, ClassifierBank, FeatureDataset, SplitSpec, assign_splits
 from .errors import ConfigError, TrainingError
-from .numerics import softmax
+from .numerics import sgd_momentum_step, softmax
 
 
 @dataclass
@@ -198,6 +198,14 @@ def train_baseline(
     under-fit on purpose. The bank carries the dataset's own split.
     Deterministic given the seed.
     """
+    if epochs < 0:
+        raise ConfigError(f"epochs must be >= 0, got {epochs}")
+    if lr <= 0.0:
+        raise ConfigError(f"lr must be positive, got {lr}")
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    if not 0.0 <= momentum < 1.0:
+        raise ConfigError(f"momentum must be in [0, 1), got {momentum}")
     train_x, train_y = ds.partition_arrays("train")
     if train_x.shape[0] == 0:
         raise ConfigError("train partition is empty")
@@ -224,12 +232,8 @@ def train_baseline(
             g = probs
             g[np.arange(len(idx)), y] -= 1.0
             g /= len(idx)
-            vel_w *= momentum
-            vel_w += g.T @ x
-            vel_b *= momentum
-            vel_b += g.sum(axis=0)
-            weights -= lr * vel_w
-            biases -= lr * vel_b
+            sgd_momentum_step(weights, g.T @ x, vel_w, lr, momentum)
+            sgd_momentum_step(biases, g.sum(axis=0), vel_b, lr, momentum)
         if not np.isfinite(epoch_loss):
             raise TrainingError(f"baseline training diverged at epoch {epoch}")
 

@@ -29,13 +29,7 @@ from .data import (
     read_tensor,
 )
 from .errors import ConfigError, IntegrityError, NumericError, ShapeError, TrainingError
-from .neighbors import (
-    NeighborSet,
-    base_distances,
-    build_neighbor_set,
-    class_means,
-    pca_fit,
-)
+from .neighbors import NeighborSet, base_distances, class_means, pca_apply, pca_fit
 from .numerics import (
     abs_normalize,
     abs_normalize_vjp,
@@ -187,20 +181,18 @@ def submodule_forward(sub: SubModule, input_vec: np.ndarray, slope: float) -> Al
 # The full model
 
 
-def _stack(arrays, shape: tuple[int, ...]) -> np.ndarray:
-    """Equal-shaped arrays stacked along a new leading axis; none give (0, *shape)."""
-    return np.array(arrays, dtype=np.float64).reshape((len(arrays), *shape))
-
-
 @dataclass
 class AlphaModel:
     """All sub-modules plus the frozen inputs they operate on.
 
-    `params` is the only parameter storage: the sub-module arrays stacked
-    along a leading few-class axis, (F, h, (K+1)d), (F, h), (F, K+1, h) and
-    (F, K+1). `_inputs` holds the frozen neighbor tensors, stacked the same
-    way once per model: flat inputs (F, (K+1)d), full rows (F, K+1, D) and
-    biases (F, K+1).
+    Everything is stacked along a leading few-class axis, in `few_ids` order.
+    `params` is the only parameter storage: (F, h, (K+1)d), (F, h),
+    (F, K+1, h) and (F, K+1). The frozen inputs are the neighbor ids
+    `neighbors` (F, K), nearest first, their mean-feature `distances` (F, K)
+    and the PCA-reduced classifiers `reduced` (F, K+1, d), target first. The
+    full rows (F, K+1, D) and biases (F, K+1) that composition mixes are
+    gathered from `bank` when the model is built, so a model always mixes
+    its own bank's rows.
     """
 
     gamma: float
@@ -208,33 +200,39 @@ class AlphaModel:
     reduced_dim: int
     hidden: int
     slope: float
-    neighbor_sets: list[NeighborSet]
+    neighbors: np.ndarray
+    distances: np.ndarray
+    reduced: np.ndarray
     params: list[np.ndarray]
     bank: ClassifierBank
     strict_alpha: bool = False
-    _inputs: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    full_rows: np.ndarray = field(init=False, repr=False)
+    set_biases: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         few = self.bank.split.few_ids
-        f, kp1, h = len(few), self.top_k + 1, self.hidden
-        shapes = [(f, h, kp1 * self.reduced_dim), (f, h), (f, kp1, h), (f, kp1)]
-        got = [np.shape(p) for p in self.params]
-        if len(self.neighbor_sets) != f or got != shapes:
+        f, k, h, d = len(few), self.top_k, self.hidden, self.reduced_dim
+        self.neighbors = np.asarray(self.neighbors, dtype=np.int64)
+        self.distances = np.asarray(self.distances, dtype=np.float64)
+        self.reduced = np.asarray(self.reduced, dtype=np.float64)
+        arrays = [self.neighbors, self.distances, self.reduced, *self.params]
+        shapes = [(f, k), (f, k), (f, k + 1, d)]
+        shapes += [(f, h, (k + 1) * d), (f, h), (f, k + 1, h), (f, k + 1)]
+        got = [np.shape(a) for a in arrays]
+        if got != shapes:
             raise IntegrityError(
-                f"model needs one neighbor set per few class ({f}) and parameters "
-                f"shaped {shapes}, got {len(self.neighbor_sets)} and {got}"
+                f"model for {f} few classes needs neighbors, distances, reduced inputs "
+                f"and parameters shaped {shapes}, got {got}"
             )
-        for ns, target in zip(self.neighbor_sets, few):
-            if ns.target != target:
+        base = set(self.bank.split.base_ids)
+        for target, ids in zip(few, self.neighbors.tolist()):
+            if len(set(ids)) != len(ids) or not base.issuperset(ids):
                 raise IntegrityError(
-                    f"neighbor set for class {ns.target} out of order (expected {target})"
+                    f"neighbors {ids} of few class {target} are not distinct base classes"
                 )
-        sets = self.neighbor_sets
-        self._inputs = (
-            _stack([ns.flat_input for ns in sets], (kp1 * self.reduced_dim,)),
-            _stack([ns.full_rows for ns in sets], (kp1, self.bank.feature_dim)),
-            _stack([ns.biases for ns in sets], (kp1,)),
-        )
+        members = np.column_stack([np.array(few, dtype=np.int64), self.neighbors])
+        self.full_rows = self.bank.weights[members]
+        self.set_biases = self.bank.biases[members]
 
     @property
     def few_ids(self) -> tuple[int, ...]:
@@ -245,6 +243,21 @@ class AlphaModel:
         """One sub-module per few class, as views of the stacked parameters:
         in-place edits reach every forward pass."""
         return [SubModule(*(p[i] for p in self.params)) for i in range(len(self.few_ids))]
+
+    @property
+    def neighbor_sets(self) -> list[NeighborSet]:
+        """One neighbor set per few class, as views of the stacked inputs."""
+        rows = zip(self.few_ids, self.neighbors.tolist(), self.distances.tolist())
+        return [
+            NeighborSet(c, tuple(ids), self.reduced[i], self.set_biases[i], self.full_rows[i],
+                        tuple(dists))
+            for i, (c, ids, dists) in enumerate(rows)
+        ]
+
+    @property
+    def flat_inputs(self) -> np.ndarray:
+        """Each few class's reduced classifiers flattened, target first: (F, (K+1)d)."""
+        return self.reduced.reshape(len(self.reduced), (self.top_k + 1) * self.reduced_dim)
 
     def parameters(self) -> list[np.ndarray]:
         return list(self.params)
@@ -279,20 +292,17 @@ def build_model(
     means = class_means(ds)
     proj = pca_fit(bank.weights, reduced_dim)
     f, kp1 = split.n_few, top_k + 1
-    sets = []
+    neighbors = np.empty((f, top_k), dtype=np.int64)
+    distances = np.empty((f, top_k))
+    reduced = np.empty((f, kp1, reduced_dim))
     shapes = [(f, hidden, kp1 * reduced_dim), (f, hidden), (f, kp1, hidden), (f, kp1)]
     params = [np.empty(shape) for shape in shapes]
     rng = np.random.default_rng(seed)
     for i, target in enumerate(split.few_ids):
         ranked = base_distances(means, split, target)[:top_k]
-        ns = build_neighbor_set(
-            bank,
-            proj,
-            ids=[c for _, c in ranked],
-            target=target,
-            distances=[dist for dist, _ in ranked],
-        )
-        sets.append(ns)
+        neighbors[i] = [c for _, c in ranked]
+        distances[i] = [dist for dist, _ in ranked]
+        reduced[i] = [pca_apply(proj, bank.weights[c]) for c in (target, *neighbors[i])]
         sub = init_submodule(
             rng,
             in_dim=kp1 * reduced_dim,
@@ -310,7 +320,9 @@ def build_model(
         reduced_dim=reduced_dim,
         hidden=hidden,
         slope=slope,
-        neighbor_sets=sets,
+        neighbors=neighbors,
+        distances=distances,
+        reduced=reduced,
         params=params,
         bank=bank,
         strict_alpha=strict_alpha,
@@ -319,8 +331,7 @@ def build_model(
 
 def alpha_pipeline(model: AlphaModel, index: int) -> AlphaVector:
     """Run one sub-module through the full raw -> normalized -> clamped chain."""
-    ns = model.neighbor_sets[index]
-    a = submodule_forward(model.submodules[index], ns.flat_input, model.slope)
+    a = submodule_forward(model.submodules[index], model.flat_inputs[index], model.slope)
     a = normalize_alpha(a, strict=model.strict_alpha)
     return clamp_alpha(a, model.gamma)
 
@@ -329,7 +340,7 @@ def _alpha_forward(model: AlphaModel):
     """fc1 -> leaky relu -> fc2 -> normalize -> clamp for every few class at
     once; returns the output of each stage."""
     fc1_w, fc1_b, fc2_w, fc2_b = model.params
-    pre = affine(fc1_w, model._inputs[0], fc1_b)
+    pre = affine(fc1_w, model.flat_inputs, fc1_b)
     hidden = leaky_relu(pre, model.slope)
     raw = affine(fc2_w, hidden, fc2_b)
     norm = abs_normalize(raw, strict=model.strict_alpha)
@@ -337,17 +348,15 @@ def _alpha_forward(model: AlphaModel):
     return pre, hidden, raw, norm, alpha
 
 
-def export_composed(model: AlphaModel, bank: ClassifierBank | None = None) -> ComposedBank:
+def export_composed(model: AlphaModel) -> ComposedBank:
     """Deterministic forward pass for all few classes; base rows copied verbatim."""
-    if bank is None:
-        bank = model.bank
+    bank = model.bank
     weights = bank.weights.copy()
     biases = bank.biases.copy()
     if model.few_ids:
-        _, full_rows, set_biases = model._inputs
         alpha = _alpha_forward(model)[-1]
         few = list(model.few_ids)
-        weights[few], biases[few] = _linear_mix(alpha, full_rows, set_biases)
+        weights[few], biases[few] = _linear_mix(alpha, model.full_rows, model.set_biases)
     return ComposedBank(
         weights=weights,
         biases=biases,
@@ -385,10 +394,9 @@ def loss_and_grads(
     labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[0] == 0:
         raise ShapeError(f"batch features must be 2-D and nonempty, got {features.shape}")
-    flat_inputs, full_rows, set_biases = model._inputs
     fc1_w, _, fc2_w, _ = model.params
     pre, hidden, raw, norm, alpha = _alpha_forward(model)
-    u, t = _linear_mix(alpha, full_rows, set_biases)
+    u, t = _linear_mix(alpha, model.full_rows, model.set_biases)
     few = list(model.few_ids)
     scores = model.bank.scores(features)
     scores[:, few] = features @ u.T + t
@@ -396,11 +404,12 @@ def loss_and_grads(
 
     # Backward through each stage in reverse.
     g_u, g_t = _few_scores_vjp(g_scores, few, features)
-    g_norm = cap_floor_clamp_vjp(norm, alpha, _linear_mix_vjp(full_rows, set_biases, g_u, g_t))
+    g_mix = _linear_mix_vjp(model.full_rows, model.set_biases, g_u, g_t)
+    g_norm = cap_floor_clamp_vjp(norm, alpha, g_mix)
     g_raw = abs_normalize_vjp(raw, g_norm)
     g_fc2_w, g_hidden, g_fc2_b = affine_vjp(fc2_w, hidden, g_raw)
     g_pre = leaky_relu_vjp(pre, model.slope, g_hidden)
-    g_fc1_w, _, g_fc1_b = affine_vjp(fc1_w, flat_inputs, g_pre)
+    g_fc1_w, _, g_fc1_b = affine_vjp(fc1_w, model.flat_inputs, g_pre)
     return loss, [g_fc1_w, g_fc1_b, g_fc2_w, g_fc2_b]
 
 
@@ -533,15 +542,14 @@ def save_model(path, model: AlphaModel) -> None:
     """Write the sub-module parameters and frozen neighbor inputs as a JSON
     manifest plus stacked 2-D tensor files alongside."""
     fc1_w, fc1_b, fc2_w, fc2_b = model.params
-    flat_inputs, full_rows, set_biases = model._inputs
     tensors = {
         "fc1_w": fc1_w.reshape(-1, fc1_w.shape[-1]),
         "fc1_b": fc1_b,
         "fc2_w": fc2_w.reshape(-1, fc2_w.shape[-1]),
         "fc2_b": fc2_b,
-        "reduced": flat_inputs.reshape(-1, model.reduced_dim),
-        "set_biases": set_biases,
-        "full_rows": full_rows.reshape(-1, full_rows.shape[-1]),
+        "reduced": model.reduced.reshape(-1, model.reduced_dim),
+        "set_biases": model.set_biases,
+        "full_rows": model.full_rows.reshape(-1, model.bank.feature_dim),
     }
     _write_bundle(
         path,
@@ -555,14 +563,16 @@ def save_model(path, model: AlphaModel) -> None:
             "strict_alpha": model.strict_alpha,
             "n_few": len(model.few_ids),
             "few_ids": list(model.few_ids),
-            "neighbors": [list(ns.neighbor_ids) for ns in model.neighbor_sets],
-            "distances": [list(ns.distances) for ns in model.neighbor_sets],
+            "neighbors": model.neighbors.tolist(),
+            "distances": model.distances.tolist(),
         },
     )
 
 
 def load_model(path, bank: ClassifierBank) -> AlphaModel:
-    """Inverse of `save_model`; the frozen bank is supplied by the caller."""
+    """Inverse of `save_model`. The caller supplies the frozen bank, which must
+    be the one the model was built from: the stored full rows and biases must
+    equal the bank's rows byte for byte."""
     path = Path(path)
     m = _read_manifest(path)
     try:
@@ -582,8 +592,10 @@ def load_model(path, bank: ClassifierBank) -> AlphaModel:
             f"model manifest {path} has {len(few_ids)} few ids, {len(neighbors)} neighbor "
             f"lists and {len(distances)} distance lists for n_few {f}"
         )
-    if any(len(ids) != top_k for ids in neighbors):
-        raise IntegrityError(f"model manifest {path}: a neighbor list is not {top_k} long")
+    if any(len(row) != top_k for row in neighbors + distances):
+        raise IntegrityError(
+            f"model manifest {path}: a neighbor or distance list is not {top_k} long"
+        )
     kp1 = top_k + 1
     if tuple(few_ids) != bank.split.few_ids:
         raise IntegrityError(
@@ -603,35 +615,36 @@ def load_model(path, bank: ClassifierBank) -> AlphaModel:
             raise IntegrityError(
                 f"model tensor {key} has shape {arrays[key].shape}, expected {shape}"
             )
-    reduced = arrays["reduced"].reshape(f, kp1, reduced_dim)
-    full_rows = arrays["full_rows"].reshape(f, kp1, bank.feature_dim)
-    sets = [
-        NeighborSet(
-            target=few_ids[i],
-            neighbor_ids=tuple(neighbors[i]),
-            reduced=reduced[i],
-            biases=arrays["set_biases"][i],
-            full_rows=full_rows[i],
-            distances=tuple(distances[i]),
+    try:
+        model = AlphaModel(
+            gamma=gamma,
+            top_k=top_k,
+            reduced_dim=reduced_dim,
+            hidden=hidden,
+            slope=slope,
+            neighbors=np.array(neighbors, dtype=np.int64).reshape(f, top_k),
+            distances=np.array(distances, dtype=np.float64).reshape(f, top_k),
+            reduced=arrays["reduced"].reshape(f, kp1, reduced_dim),
+            params=[
+                arrays["fc1_w"].reshape(f, hidden, kp1 * reduced_dim),
+                arrays["fc1_b"],
+                arrays["fc2_w"].reshape(f, kp1, hidden),
+                arrays["fc2_b"],
+            ],
+            bank=bank,
+            strict_alpha=strict_alpha,
         )
-        for i in range(f)
-    ]
-    return AlphaModel(
-        gamma=gamma,
-        top_k=top_k,
-        reduced_dim=reduced_dim,
-        hidden=hidden,
-        slope=slope,
-        neighbor_sets=sets,
-        params=[
-            arrays["fc1_w"].reshape(f, hidden, kp1 * reduced_dim),
-            arrays["fc1_b"],
-            arrays["fc2_w"].reshape(f, kp1, hidden),
-            arrays["fc2_b"],
-        ],
-        bank=bank,
-        strict_alpha=strict_alpha,
-    )
+    except IntegrityError as exc:
+        raise IntegrityError(f"model {path}: {exc}") from exc
+    if (
+        model.full_rows.tobytes() != arrays["full_rows"].tobytes()
+        or model.set_biases.tobytes() != arrays["set_biases"].tobytes()
+    ):
+        raise IntegrityError(
+            f"model {path} was built from another bank: its stored neighbor rows "
+            "differ from the bank's"
+        )
+    return model
 
 
 def write_train_log(path, log: list[dict]) -> None:

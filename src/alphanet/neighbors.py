@@ -1,10 +1,10 @@
 """Neighbor selection over class mean features and classifier reduction.
 
 For every few class we pick the K base classes whose mean train features are
-closest in euclidean distance, then assemble the sub-module input: the
-PCA-reduced classifiers of the target and its neighbors, flattened in
-neighbor order with the target first. Composition later uses the retained
-full-dimension rows, never the reduced copies.
+closest in euclidean distance. The sub-module input is the PCA-reduced
+classifiers of the target and its neighbors, flattened in neighbor order
+with the target first. Composition later uses the full-dimension rows,
+never the reduced copies.
 """
 
 from __future__ import annotations
@@ -13,18 +13,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ClassifierBank, FeatureDataset, SplitSpec, class_train_indices
-from .errors import ConfigError, DataError, IntegrityError, ShapeError
+from .data import TRAIN, FeatureDataset, SplitSpec
+from .errors import ConfigError, DataError, ShapeError
 
 
 def class_means(ds: FeatureDataset) -> np.ndarray:
     """Arithmetic mean of each class's train-partition features, shape (N, D)."""
+    idx = ds.indices(TRAIN)
+    labels = ds.labels[idx]
+    # A stable sort groups the train indices class by class, in sample order.
+    order = idx[np.argsort(labels, kind="stable")]
+    ends = np.cumsum(np.bincount(labels, minlength=ds.n_classes))
     out = np.zeros((ds.n_classes, ds.feature_dim))
-    for c in range(ds.n_classes):
-        idx = class_train_indices(ds, c)
-        if idx.size == 0:
+    for c, rows in enumerate(np.split(order, ends[:-1])):
+        if rows.size == 0:
             raise DataError(f"class {c} has no train samples to average")
-        out[c] = ds.features[idx].mean(axis=0)
+        out[c] = ds.features[rows].mean(axis=0)
     return out
 
 
@@ -111,7 +115,8 @@ def knn_base(
 
 @dataclass(frozen=True)
 class NeighborSet:
-    """Fixed sub-module input for one few class.
+    """Fixed sub-module input for one few class; `AlphaModel.neighbor_sets`
+    returns them as views of the model's stacked inputs.
 
     Index 0 is always the target's own classifier; indices 1..K are the
     neighbors in nondecreasing mean-feature distance. `reduced` rows feed the
@@ -134,31 +139,3 @@ class NeighborSet:
         """Concatenation of the reduced classifiers, target first; length (K+1)*d."""
         return self.reduced.reshape(-1)
 
-
-def build_neighbor_set(
-    bank: ClassifierBank,
-    proj: PcaProjection,
-    ids,
-    target: int,
-    distances=None,
-) -> NeighborSet:
-    """Assemble the neighbor set for `target` from already-selected base ids."""
-    ids = tuple(int(i) for i in ids)
-    base = set(bank.split.base_ids)
-    if len(set(ids)) != len(ids):
-        raise IntegrityError(f"duplicate neighbor ids {ids}")
-    for i in ids:
-        if i == target:
-            raise IntegrityError(f"target {target} cannot be its own neighbor")
-        if i not in base:
-            raise IntegrityError(f"neighbor {i} is not a base class")
-    members = (target,) + ids
-    reduced = np.stack([pca_apply(proj, bank.weights[c]) for c in members])
-    return NeighborSet(
-        target=target,
-        neighbor_ids=ids,
-        reduced=reduced,
-        biases=bank.biases[list(members)].copy(),
-        full_rows=bank.weights[list(members)].copy(),
-        distances=tuple(float(x) for x in distances) if distances is not None else (),
-    )

@@ -242,6 +242,12 @@ def test_exit_1_for_bad_choice_or_missing_flag(pipeline, tmp_path, capsys):
         "sweep": ["sweep", *inputs, "--axis", "gamma", "--grid", "0.5",
                   "--epochs", "1", "--top-k", "2", "--reduced-dim", "4"],
     }
+    baseline = ["baseline", inputs[0], inputs[1], "--out-dir", str(tmp_path / "b")]
+    for extra in (
+        ["--batch-size", "0"], ["--lr", "0"], ["--epochs", "-1"], ["--momentum", "1.5"]
+    ):
+        assert main(baseline + extra) == 1, extra
+        assert extra[0].lstrip("-").replace("-", "_") in capsys.readouterr().err
     for command, extra in (
         ("train", ["--few-lt", "4"]),
         ("train", ["--many-gt", "60"]),
@@ -278,6 +284,23 @@ def test_exit_2_for_corrupt_tensor_file(pipeline, tmp_path, capsys):
     rc = main(["baseline", "--dataset", str(manifest_path), "--out-dir", str(tmp_path / "b")])
     assert rc == 2
     assert "inverted" in capsys.readouterr().err
+
+
+def test_exit_2_for_eval_against_another_baseline(pipeline, tmp_path, capsys):
+    dataset = str(pipeline["data"] / "dataset.json")
+    assert main([
+        "baseline", "--dataset", dataset, "--out-dir", str(tmp_path / "b"),
+        "--epochs", "30", "--seed", "11",
+    ]) == 0
+    capsys.readouterr()
+    rc = main([
+        "eval", "--dataset", dataset, "--bank", str(tmp_path / "b" / "bank.json"),
+        "--composed", str(pipeline["run"] / "composed.json"),
+        "--out-dir", str(tmp_path / "out"),
+    ])
+    assert rc == 2
+    assert "was not built from" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_3_for_diverged_training(pipeline, tmp_path, capsys):

@@ -333,7 +333,9 @@ def test_alpha_model_rejects_mismatched_submodule_count():
             reduced_dim=model.reduced_dim,
             hidden=model.hidden,
             slope=model.slope,
-            neighbor_sets=model.neighbor_sets,
+            neighbors=model.neighbors,
+            distances=model.distances,
+            reduced=model.reduced,
             params=[p[:-1] for p in model.parameters()],
             bank=bank,
         )
@@ -688,6 +690,35 @@ def test_load_model_rejects_mismatched_bank(tmp_path):
     )
     with pytest.raises(IntegrityError):
         load_model(tmp_path / "model.json", other)
+    # same split, retrained with another seed: the stored rows are not this bank's
+    retrained = train_baseline(ds, epochs=8, seed=11)
+    assert retrained.split == bank.split
+    with pytest.raises(IntegrityError) as exc:
+        load_model(tmp_path / "model.json", retrained)
+    assert "another bank" in str(exc.value)
+
+
+#: Edits of the first few class's neighbor list in a saved model manifest;
+#: classes 0-5 are base classes, 6 and 7 few.
+_NEIGHBOR_EDITS = {
+    "id_999": lambda ids: [999, *ids[1:]],
+    "few_class_id": lambda ids: [7, *ids[1:]],
+    "duplicate_id": lambda ids: [ids[0], ids[0]],
+    "unused_base_id": lambda ids: [min(set(range(6)) - set(ids)), *ids[1:]],
+}
+
+
+@pytest.mark.parametrize("edit", list(_NEIGHBOR_EDITS))
+def test_load_model_rejects_neighbors_the_bank_did_not_supply(tmp_path, edit):
+    ds, bank = _small_problem(seed=0)
+    path = tmp_path / "model.json"
+    save_model(path, build_model(bank, ds, top_k=2, reduced_dim=3, seed=0))
+    manifest = json.loads(path.read_text())
+    manifest["neighbors"][0] = _NEIGHBOR_EDITS[edit](manifest["neighbors"][0])
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(IntegrityError) as exc:
+        load_model(path, bank)
+    assert "model.json" in str(exc.value)
 
 
 #: Ways to cut a saved model manifest short, each one field.
@@ -732,21 +763,13 @@ def test_model_round_trip_is_bit_exact_for_any_shape(seed, f, k, d, h, strict_al
         biases=rng.normal(size=n_base + f),
         split=assign_splits([150] * n_base + [5] * f),
     )
-    sets = [
-        NeighborSet(
-            target=target,
-            neighbor_ids=tuple(int(c) for c in rng.permutation(n_base)[:k]),
-            reduced=rng.normal(size=(k + 1, d)),
-            biases=rng.normal(size=k + 1),
-            full_rows=rng.normal(size=(k + 1, dim)),
-            distances=tuple(float(x) for x in np.sort(rng.exponential(size=k))),
-        )
-        for target in bank.split.few_ids
-    ]
     shapes = [(f, h, (k + 1) * d), (f, h), (f, k + 1, h), (f, k + 1)]
     model = AlphaModel(
         gamma=float(rng.uniform(0.1, 1.0)), top_k=k, reduced_dim=d, hidden=h,
-        slope=float(rng.uniform(0.0, 0.5)), neighbor_sets=sets,
+        slope=float(rng.uniform(0.0, 0.5)),
+        neighbors=rng.random((f, n_base)).argsort(axis=1)[:, :k],
+        distances=np.sort(rng.exponential(size=(f, k)), axis=1),
+        reduced=rng.normal(size=(f, k + 1, d)),
         params=[rng.normal(size=shape) for shape in shapes], bank=bank,
         strict_alpha=strict_alpha,
     )

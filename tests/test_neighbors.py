@@ -1,5 +1,7 @@
 """Class means, PCA reduction, and nearest-neighbor selection vs oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,14 +9,8 @@ from hypothesis import strategies as st
 
 from alphanet.data import ClassifierBank, FeatureDataset, assign_splits
 from alphanet.errors import ConfigError, DataError, IntegrityError, ShapeError
-from alphanet.neighbors import (
-    NeighborSet,
-    build_neighbor_set,
-    class_means,
-    knn_base,
-    pca_apply,
-    pca_fit,
-)
+from alphanet.model import build_model, export_composed
+from alphanet.neighbors import class_means, knn_base, pca_apply, pca_fit
 
 
 def _dataset(features_by_class, partitions=None):
@@ -57,6 +53,17 @@ def test_class_means_matches_two_pass_oracle():
             oracle += row
         oracle /= len(rows)
         assert np.max(np.abs(means[c] - oracle)) < 1e-12
+    # interleaved classes and partitions: each mean is its class's masked train
+    # rows' mean, bit for bit
+    order = rng.permutation(ds.n_samples)
+    mixed = FeatureDataset(
+        features=ds.features[order], labels=ds.labels[order],
+        partitions=rng.integers(0, 3, size=ds.n_samples).astype(np.uint8), n_classes=3,
+    )
+    train = mixed.partitions == 0
+    for c, mean in enumerate(class_means(mixed)):
+        rows = mixed.features[train & (mixed.labels == c)]
+        assert mean.tobytes() == rows.mean(axis=0).tobytes()
 
 
 def test_pca_line_in_2d():
@@ -202,51 +209,62 @@ def _bank(rng, counts, d=6):
     )
 
 
-def test_build_neighbor_set_layout():
+def _ranked_dataset(offsets, d=6):
+    """One train sample per class, class c at offsets[c] along the first axis,
+    so each class mean is exact and the neighbor order is known."""
+    return _dataset([[np.eye(d)[0] * x] for x in offsets])
+
+
+def test_model_neighbor_inputs_layout():
     rng = np.random.default_rng(11)
     bank = _bank(rng, [150, 120, 90, 60, 5])
-    proj = pca_fit(bank.weights, 3)
-    ns = build_neighbor_set(bank, proj, ids=(2, 0, 3), target=4)
-    assert ns.k == 3
-    assert ns.neighbor_ids == (2, 0, 3)
-    assert ns.flat_input.shape == (4 * 3,)
+    # base classes 2, 0, 3, 1 lie at distances 1, 2, 3, 4 from few class 4
+    model = build_model(bank, _ranked_dataset([2, 4, 1, 3, 0]), top_k=3, reduced_dim=3)
+    members = [4, 2, 0, 3]
+    assert model.neighbors.tolist() == [members[1:]]
+    assert model.distances.tolist() == [[1.0, 2.0, 3.0]]
     # index 0 is the target's own classifier, full rows follow neighbor order
-    assert np.array_equal(ns.full_rows[0], bank.weights[4])
-    assert np.array_equal(ns.full_rows[2], bank.weights[0])
-    assert np.array_equal(ns.biases, bank.biases[[4, 2, 0, 3]])
+    assert model.full_rows[0].tobytes() == bank.weights[members].tobytes()
+    assert model.set_biases[0].tobytes() == bank.biases[members].tobytes()
+    proj = pca_fit(bank.weights, 3)
+    for j, c in enumerate(members):
+        assert model.reduced[0, j].tobytes() == pca_apply(proj, bank.weights[c]).tobytes()
+    (ns,) = model.neighbor_sets
+    assert (ns.target, ns.neighbor_ids, ns.distances, ns.k) == (4, (2, 0, 3), (1.0, 2.0, 3.0), 3)
+    assert np.shares_memory(ns.full_rows, model.full_rows)  # a view, not a copy
     # slot j of the flattened input is exactly reduced row j
-    d = 3
+    assert ns.flat_input.shape == (4 * 3,)
     for j in range(4):
-        assert np.array_equal(ns.flat_input[j * d:(j + 1) * d], ns.reduced[j])
-    assert np.max(np.abs(ns.reduced[0] - pca_apply(proj, bank.weights[4]))) < 1e-12
+        assert np.array_equal(ns.flat_input[j * 3:(j + 1) * 3], ns.reduced[j])
 
 
-def test_build_neighbor_set_k0_degenerate():
+def test_model_neighbor_inputs_k0_degenerate():
     rng = np.random.default_rng(12)
     bank = _bank(rng, [150, 120, 5])
-    proj = pca_fit(bank.weights, 2)
-    ns = build_neighbor_set(bank, proj, ids=(), target=2)
-    assert ns.k == 0
-    assert np.array_equal(ns.flat_input, pca_apply(proj, bank.weights[2]))
+    model = build_model(bank, _ranked_dataset([1, 2, 0]), top_k=0, reduced_dim=2)
+    (ns,) = model.neighbor_sets
+    assert model.neighbors.shape == model.distances.shape == (1, 0)
+    assert (ns.k, ns.distances) == (0, ())
+    assert np.array_equal(ns.flat_input, pca_apply(pca_fit(bank.weights, 2), bank.weights[2]))
 
 
-def test_build_neighbor_set_rejects_bad_ids():
+def test_model_rejects_bad_neighbor_ids():
     rng = np.random.default_rng(13)
     bank = _bank(rng, [150, 120, 5, 4])
-    proj = pca_fit(bank.weights, 2)
-    with pytest.raises(IntegrityError):
-        build_neighbor_set(bank, proj, ids=(3,), target=2)  # 3 is a few class
-    with pytest.raises(IntegrityError):
-        build_neighbor_set(bank, proj, ids=(2,), target=2)  # self
-    with pytest.raises(IntegrityError):
-        build_neighbor_set(bank, proj, ids=(0, 0), target=2)  # duplicate
+    model = build_model(bank, _ranked_dataset([1, 2, 0, 3]), top_k=2, reduced_dim=2)
+    assert model.neighbors.tolist() == [[0, 1], [1, 0]]
+    for row in ([3, 1], [2, 1], [0, 0], [999, 1], [-1, 1]):  # few, self, duplicate, range
+        with pytest.raises(IntegrityError):
+            replace(model, neighbors=np.array([row, [1, 0]]))
 
 
-def test_neighbor_set_is_a_frozen_copy():
+def test_model_neighbor_rows_are_frozen_copies():
     rng = np.random.default_rng(14)
     bank = _bank(rng, [150, 120, 5])
-    proj = pca_fit(bank.weights, 2)
-    ns = build_neighbor_set(bank, proj, ids=(0, 1), target=2)
-    before = ns.full_rows.copy()
-    bank.weights[0] += 100.0
-    assert np.array_equal(ns.full_rows, before)
+    model = build_model(bank, _ranked_dataset([1, 2, 0]), top_k=2, reduced_dim=2)
+    before = export_composed(model)
+    bank.weights[[2, 0, 1]] += 100.0
+    bank.biases[[2, 0, 1]] += 100.0
+    after = export_composed(model)
+    assert after.weights[2].tobytes() == before.weights[2].tobytes()
+    assert after.biases[2] == before.biases[2]

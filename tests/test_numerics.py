@@ -20,7 +20,6 @@ from alphanet.model import (
     loss_and_grads,
     set_params,
 )
-from alphanet.neighbors import NeighborSet
 from alphanet.numerics import (
     abs_normalize,
     abs_normalize_vjp,
@@ -388,24 +387,15 @@ def _random_model(rng, f, k, d, h, gamma):
         biases=rng.normal(scale=0.5, size=n_base + f),
         split=split,
     )
-    sets, subs = [], []
-    for target in split.few_ids:
-        sets.append(
-            NeighborSet(
-                target=target,
-                neighbor_ids=tuple(range(k)),
-                reduced=rng.normal(size=(k + 1, d)),
-                biases=rng.normal(scale=0.5, size=k + 1),
-                full_rows=rng.normal(size=(k + 1, dim)),
-            )
-        )
+    reduced, subs = rng.normal(size=(f, k + 1, d)), []
+    for _ in split.few_ids:
         sub = init_submodule(rng, (k + 1) * d, h, k + 1, gamma, init_margin=0.5)
         sub.fc2_w *= 0.05  # keep the coefficients near their interior target
         subs.append(sub)
     model = AlphaModel(
         gamma=gamma, top_k=k, reduced_dim=d, hidden=h, slope=0.01,
-        neighbor_sets=sets, params=[np.stack(g) for g in zip(*(sub.params() for sub in subs))],
-        bank=bank,
+        neighbors=np.tile(np.arange(k), (f, 1)), distances=np.ones((f, k)), reduced=reduced,
+        params=[np.stack(g) for g in zip(*(sub.params() for sub in subs))], bank=bank,
     )
     features = rng.normal(scale=2.0, size=(5, dim))
     labels = rng.integers(0, n_base + f, size=5)
