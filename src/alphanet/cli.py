@@ -112,7 +112,8 @@ def _numbers(text: str, cast):
 
 
 def _parse_grid(text: str, cast):
-    """Either `lo:hi:step` (inclusive) or a comma-separated list."""
+    """Either `lo:hi:step` (inclusive) or a comma-separated list. A range
+    value the cast would change, such as 0.5 in an int grid, is refused."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -126,7 +127,10 @@ def _parse_grid(text: str, cast):
         values = []
         v = lo
         while v <= hi + 1e-9:
-            values.append(cast(round(v, 12)))
+            value = round(v, 12)
+            if cast(value) != value:
+                raise ConfigError(f"grid value {value} is not a whole number, got {text!r}")
+            values.append(cast(value))
             v += step
         return values
     values = _numbers(text, cast)

@@ -6,6 +6,25 @@ from dataclasses import asdict, dataclass, fields
 
 from .errors import ConfigError
 
+# Accepted value types per field annotation. A bool is an int to Python, so
+# it is refused where a number is meant and is the only thing `bool` takes.
+_SCALAR_TYPES = {"int": int, "float": (int, float), "bool": bool}
+
+
+def check_field_types(cfg) -> None:
+    """Raise ConfigError when a dataclass field annotated `int`, `float` or
+    `bool` (optionally `| None`) holds a value of another type. The
+    annotations are read as strings, so the dataclass's module must use
+    `from __future__ import annotations`."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        kind = f.type.removesuffix(" | None")
+        if kind not in _SCALAR_TYPES or (value is None and kind != f.type):
+            continue
+        is_bool = isinstance(value, bool)
+        if not isinstance(value, _SCALAR_TYPES[kind]) or (is_bool and kind != "bool"):
+            raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
+
 
 @dataclass
 class RunConfig:
@@ -34,6 +53,7 @@ class RunConfig:
     init_margin: float = 0.05
 
     def validate(self) -> "RunConfig":
+        check_field_types(self)
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError(f"gamma must be in (0, 1], got {self.gamma}")
         if self.top_k < 0:

@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .config import check_field_types
 from .data import FEW_LT, MANY_GT, ClassifierBank, FeatureDataset, SplitSpec, assign_splits
 from .errors import ConfigError, TrainingError
 from .numerics import sgd_momentum_step, softmax
@@ -53,6 +54,7 @@ class GenConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        check_field_types(self)
         if self.n_classes < 2:
             raise ConfigError(f"need at least 2 classes, got {self.n_classes}")
         if self.feature_dim < 1:
@@ -73,10 +75,6 @@ class GenConfig:
             raise ConfigError(f"n_groups must be >= 0, got {self.n_groups}")
         if self.group_spread <= 0:
             raise ConfigError(f"group_spread must be positive, got {self.group_spread}")
-        if any(type(t) is not int for t in (self.many_gt, self.few_lt)):
-            raise ConfigError(
-                f"many_gt and few_lt must be integers, got {self.many_gt!r}, {self.few_lt!r}"
-            )
         for r in np.atleast_1d(np.asarray(self.rho, dtype=np.float64)):
             if not 0.0 <= r <= 1.0:
                 raise ConfigError(f"rho values must lie in [0, 1], got {r}")

@@ -1,8 +1,12 @@
 """End-to-end command-line runs: artifacts, reproducibility, exit codes."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +193,7 @@ def test_parse_grid_range_is_endpoint_inclusive():
 
 def test_parse_grid_comma_list_and_ints():
     assert _parse_grid("1,3,5", int) == [1, 3, 5]
+    assert _parse_grid("0:6:2", int) == [0, 2, 4, 6]
     assert _parse_grid("0.25", float) == [0.25]
 
 
@@ -196,6 +201,28 @@ def test_parse_grid_rejects_malformed_input():
     for bad in ("0.9:0.1:0.1", "0.1:0.9:0", "0.1:0.9:-0.1", "a:b:c", "", "1:2"):
         with pytest.raises(ConfigError):
             _parse_grid(bad, float)
+    with pytest.raises(ConfigError, match="0.5"):
+        _parse_grid("0:3:0.5", int)  # would truncate to 0, 0, 1, 1, 2, 2, 3
+
+
+# ---------------------------------------------------------------------------
+# Dependencies
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = (
+        "import sys, alphanet.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +285,30 @@ def test_exit_1_for_bad_choice_or_missing_flag(pipeline, tmp_path, capsys):
     ):
         assert main(commands[command] + extra) == 1, (command, extra)
         assert f"unrecognized arguments: {extra[0]}" in capsys.readouterr().err
+    assert main(commands["sweep"] + ["--axis", "topk", "--grid", "0:3:0.5"]) == 1
+    assert "0:3:0.5" in capsys.readouterr().err
+
+
+def test_exit_1_for_config_values_of_the_wrong_type(pipeline, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    train = [
+        "train", "--config", str(cfg_path),
+        "--dataset", str(pipeline["data"] / "dataset.json"),
+        "--bank", str(pipeline["base"] / "bank.json"), "--out-dir", str(tmp_path / "out"),
+    ]
+    for bad in (
+        {"epochs": 2.5}, {"gamma": "0.5"}, {"seed": 1.5}, {"strict_alpha": "no"},
+        {"strict_alpha": 1}, {"epochs": True}, {"hidden": 4.0},
+    ):
+        cfg_path.write_text(json.dumps(bad))
+        assert main(train) == 1, bad
+        assert f"error: {next(iter(bad))}" in capsys.readouterr().err
+    datagen = ["datagen", "--config", str(cfg_path), "--out-dir", str(tmp_path / "data")]
+    for bad in ({"feature_dim": "16"}, {"sigma": "0.9"}, {"n_groups": True}, {"n_classes": 50.5}):
+        cfg_path.write_text(json.dumps(bad))
+        assert main(datagen) == 1, bad
+        assert f"error: {next(iter(bad))}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "data").exists()
 
 
 def test_exit_2_for_corrupt_tensor_file(pipeline, tmp_path, capsys):

@@ -137,6 +137,13 @@ def test_genconfig_validation():
         GenConfig(few_lt=20.5).validate()
     with pytest.raises(ConfigError):
         GenConfig.from_dict({"n_classes": 10, "bogus_knob": 1})
+    for bad in (
+        {"feature_dim": "16"}, {"n_classes": 50.5}, {"n_groups": True},
+        {"seed": 1.5}, {"sigma": "0.9"}, {"decay_exponent": False},
+    ):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            GenConfig(**bad).validate()
+    GenConfig(sigma=1, mean_scale=2).validate()  # an int is a valid float
 
 
 def test_baseline_reaches_perfect_accuracy_on_separable_toy():

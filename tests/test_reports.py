@@ -5,8 +5,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from alphanet.config import RunConfig
 from alphanet.data import assign_splits
@@ -314,6 +315,44 @@ def test_classwise_spearman_matches_rank_formula():
         expected = 1 - 6 * np.sum((rank_d - rank_v) ** 2) / (n * (n**2 - 1))
         assert report.spearman == pytest.approx(expected, abs=1e-12)
     assert report.spearman is not None
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(0.0, 2.0).map(lambda x: round(x, 1)),
+            st.integers(0, 4),
+            st.integers(0, 4),
+        ),
+        min_size=2,
+        max_size=40,
+    )
+)
+def test_classwise_spearman_is_bit_equal_to_scipy(classes):
+    # (distance, baseline hits, composed hits) per class of four samples:
+    # distances rounded to 0.1 and accuracies in quarters force ties in
+    # both columns, where average and ordinal ranks part ways
+    n_cls = len(classes)
+    labels = np.repeat(np.arange(n_cls), 4)
+    base_preds = (labels + 1) % n_cls
+    comp_preds = base_preds.copy()
+    for c, (_, base_hits, comp_hits) in enumerate(classes):
+        base_preds[4 * c : 4 * c + base_hits] = c
+        comp_preds[4 * c : 4 * c + comp_hits] = c
+    report = classwise_report(
+        _scores_predicting(base_preds, n_cls),
+        _scores_predicting(comp_preds, n_cls),
+        labels,
+        {c: d for c, (d, _, _) in enumerate(classes)},
+    )
+    dist = np.array([r.nn_distance for r in report.rows])
+    delta = np.array([r.delta for r in report.rows])
+    if np.ptp(dist) == 0 or np.ptp(delta) == 0:
+        assert report.spearman is None
+        return
+    expected = stats.spearmanr(dist, delta).statistic
+    assert np.float64(report.spearman).tobytes() == np.float64(expected).tobytes()
 
 
 def test_classwise_skips_classes_missing_from_labels():
