@@ -1,9 +1,11 @@
 """Subcommand front-end: datagen -> baseline -> train -> eval -> sweep.
 
-Every command validates its configuration up front, writes outputs
-atomically, and drops a `run.json` with the effective merged config, the
-seed, a git-describe string (when available), and wall time. Exit codes:
-1 configuration error, 2 file/format error, 3 numeric failure.
+Every command validates its configuration up front, loads and computes, and
+only then creates its output directory and writes its outputs atomically,
+so a rejected command leaves nothing behind. Each drops a `run.json` with
+the effective merged config, the seed, a git-describe string (when
+available), and wall time. Exit codes: 1 configuration error, 2
+file/format error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from .config import RunConfig
@@ -81,10 +84,9 @@ def _write_run_json(out_dir: Path, command: str, config: dict, seed: int, t0: fl
     _atomic_write_bytes(out_dir / "run.json", (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
 
 
-def _out_dir(args) -> Path:
-    if not args.out_dir:
-        raise ConfigError("--out-dir is required")
-    out = Path(args.out_dir)
+def _out_dir(path: str) -> Path:
+    """Create the output directory; called just before a command's first write."""
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -150,28 +152,48 @@ def _require_file(path: str | None, flag: str) -> Path:
 
 def _run_config(args) -> RunConfig:
     flag_values = {name: getattr(args, name) for name in RunConfig.field_names()}
-    return RunConfig.merged(_load_json_config(args.config), flag_values)
+    cfg = RunConfig.merged(_load_json_config(args.config), flag_values)
+    if not cfg.out_dir:
+        raise ConfigError("--out-dir is required (or out_dir in the --config file)")
+    return cfg
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
+def _gen_config(args) -> GenConfig:
+    """The config file overlaid by the flags given; `rho` and
+    `explicit_counts` come as comma lists."""
+    values = _load_json_config(args.config)
+    for f in fields(GenConfig):
+        v = getattr(args, f.name)
+        if v is None:
+            continue
+        if f.name == "rho":
+            rhos = _numbers(v, float)
+            v = rhos[0] if len(rhos) == 1 else rhos
+        elif f.name == "explicit_counts":
+            v = _numbers(v, int)
+        values[f.name] = v
+    return GenConfig.from_dict(values)
+
+
+_FLAG_TYPES = {"int": int, "float": float}
+
+
+def _add_config_flags(p: argparse.ArgumentParser, cls) -> None:
+    """`--config` plus one `--field-name` flag per field of the dataclass
+    `cls`, typed from the field's annotation as `check_field_types` reads
+    it: `int`, `float`, `bool` (`--x`/`--no-x`), and a string otherwise (a
+    list field takes a comma list). A flag left out is None, so it does not
+    override the config file."""
     p.add_argument("--config", help="JSON file with config keys (flags override it)")
-    p.add_argument("--dataset", help="dataset manifest path")
-    p.add_argument("--bank", help="baseline classifier bank manifest path")
-    p.add_argument("--out-dir", dest="out_dir", help="output directory")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--top-k", dest="top_k", type=int)
-    p.add_argument("--reduced-dim", dest="reduced_dim", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--slope", type=float)
-    p.add_argument("--lr0", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--strict-alpha", dest="strict_alpha", action=argparse.BooleanOptionalAction)
-    p.add_argument("--init-gain", dest="init_gain", type=float)
-    p.add_argument("--init-margin", dest="init_margin", type=float)
+    for f in fields(cls):
+        kind = f.type.removesuffix(" | None")
+        kwargs = (
+            {"action": argparse.BooleanOptionalAction}
+            if kind == "bool"
+            else {"type": _FLAG_TYPES.get(kind)}
+        )
+        help_text = "comma-separated list" if "list" in kind else None
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, help=help_text, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -180,23 +202,9 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 
 def cmd_datagen(args) -> None:
     t0 = time.monotonic()
-    values = _load_json_config(args.config)
-    for name in (
-        "n_classes", "feature_dim", "head_count", "tail_count", "n_groups",
-        "val_per_class", "test_per_class", "many_gt", "few_lt", "seed",
-        "decay_exponent", "sigma", "mean_scale", "group_spread",
-    ):
-        v = getattr(args, name)
-        if v is not None:
-            values[name] = v
-    if args.rho is not None:
-        rhos = _numbers(args.rho, float)
-        values["rho"] = rhos[0] if len(rhos) == 1 else rhos
-    if args.explicit_counts is not None:
-        values["explicit_counts"] = _numbers(args.explicit_counts, int)
-    cfg = GenConfig.from_dict(values)
-    out = _out_dir(args)
+    cfg = _gen_config(args)
     ds, split, _ = generate(cfg)
+    out = _out_dir(args.out_dir)
     save_dataset(out / "dataset.json", ds)
     counts = ds.train_counts()
     print(
@@ -219,7 +227,6 @@ def _top1_line(report) -> str:
 def cmd_baseline(args) -> None:
     t0 = time.monotonic()
     ds = load_dataset(_require_file(args.dataset, "--dataset"))
-    out = _out_dir(args)
     bank = train_baseline(
         ds,
         epochs=args.epochs,
@@ -228,18 +235,13 @@ def cmd_baseline(args) -> None:
         batch_size=args.batch_size,
         momentum=args.momentum,
     )
+    out = _out_dir(args.out_dir)
     save_bank(out / "bank.json", bank)
     features, labels = ds.partition_arrays("val")
     report = split_report(bank.scores(features), labels, bank.split)
     print(f"wrote {out / 'bank.json'}; val top-1: {_top1_line(report)}")
-    config = {
-        "dataset": str(args.dataset),
-        "epochs": args.epochs,
-        "lr": args.lr,
-        "batch_size": args.batch_size,
-        "momentum": args.momentum,
-        "seed": args.seed,
-    }
+    names = ("dataset", "epochs", "lr", "batch_size", "momentum", "seed")
+    config = {name: getattr(args, name) for name in names}
     _write_run_json(out, "baseline", config, args.seed, t0)
 
 
@@ -248,7 +250,6 @@ def cmd_train(args) -> None:
     cfg = _run_config(args)
     ds = load_dataset(_require_file(cfg.dataset, "--dataset"))
     bank = load_bank(_require_file(cfg.bank, "--bank"))
-    out = _out_dir(args)
 
     def show(entry: dict) -> None:
         few = entry["val"].get("few")
@@ -256,6 +257,7 @@ def cmd_train(args) -> None:
         print(f"epoch {entry['epoch']:3d} loss {entry['loss']:.4f} lr {entry['lr']:g}{few_txt}")
 
     result, composed = run_training(bank, ds, cfg, on_epoch=show)
+    out = _out_dir(cfg.out_dir)
     save_model(out / "model.json", result.model)
     save_bank(out / "composed.json", composed)
     write_train_log(out / "train_log.jsonl", result.log)
@@ -280,7 +282,6 @@ def cmd_eval(args) -> None:
             f"composed bank {args.composed} was not built from {args.bank}: "
             "their splits or base-class rows differ"
         )
-    out = _out_dir(args)
     features, labels = ds.partition_arrays(args.partition)
     base_scores = bank.scores(features)
     comp_scores = composed.scores(features)
@@ -291,6 +292,7 @@ def cmd_eval(args) -> None:
         for target in bank.split.few_ids
     }
     classwise = classwise_report(base_scores, comp_scores, labels, distances)
+    out = _out_dir(args.out_dir)
     write_split_report_csv(out / "split_report.csv", report)
     write_classwise_csv(out / "classwise.csv", classwise)
     summary = {
@@ -311,17 +313,16 @@ def cmd_eval(args) -> None:
 def cmd_sweep(args) -> None:
     t0 = time.monotonic()
     cfg = _run_config(args)
+    values = _parse_grid(args.grid, float if args.axis == "gamma" else int)
     ds = load_dataset(_require_file(cfg.dataset, "--dataset"))
     bank = load_bank(_require_file(cfg.bank, "--bank"))
-    out = _out_dir(args)
     if args.axis == "gamma":
-        values = _parse_grid(args.grid, float)
         rows = gamma_sweep(bank, ds, cfg, values, partition=args.partition)
         x_label = "gamma"
     else:
-        values = _parse_grid(args.grid, int)
         rows = topk_sweep(bank, ds, cfg, values, partition=args.partition)
         x_label = "top K"
+    out = _out_dir(cfg.out_dir)
     write_sweep_csv(out / "sweep.csv", rows)
     write_sweep_svg(
         out / "sweep.svg",
@@ -348,24 +349,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("datagen", help="generate a synthetic long-tailed feature dataset")
-    p.add_argument("--config", help="JSON file with generator keys (flags override it)")
+    _add_config_flags(p, GenConfig)
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--n-classes", dest="n_classes", type=int)
-    p.add_argument("--feature-dim", dest="feature_dim", type=int)
-    p.add_argument("--head-count", dest="head_count", type=int)
-    p.add_argument("--tail-count", dest="tail_count", type=int)
-    p.add_argument("--decay-exponent", dest="decay_exponent", type=float)
-    p.add_argument("--explicit-counts", dest="explicit_counts", help="comma-separated per-class counts")
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--rho", help="few-class mean overlap; one value or a comma list per few class")
-    p.add_argument("--mean-scale", dest="mean_scale", type=float)
-    p.add_argument("--n-groups", dest="n_groups", type=int)
-    p.add_argument("--group-spread", dest="group_spread", type=float)
-    p.add_argument("--val-per-class", dest="val_per_class", type=int)
-    p.add_argument("--test-per-class", dest="test_per_class", type=int)
-    p.add_argument("--many-gt", dest="many_gt", type=int)
-    p.add_argument("--few-lt", dest="few_lt", type=int)
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_datagen)
 
     p = sub.add_parser("baseline", help="train the frozen per-class linear baseline bank")
@@ -379,7 +364,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("train", help="train composition sub-modules against a frozen bank")
-    _add_run_flags(p)
+    _add_config_flags(p, RunConfig)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a composed bank and report per-split/per-class metrics")
@@ -392,7 +377,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="train once per grid value and tabulate accuracy")
-    _add_run_flags(p)
+    _add_config_flags(p, RunConfig)
     p.add_argument("--axis", choices=("gamma", "topk"), required=True)
     p.add_argument("--grid", required=True, help="lo:hi:step or comma-separated values")
     p.add_argument("--partition", choices=("train", "val", "test"), default="test")

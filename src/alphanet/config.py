@@ -8,12 +8,12 @@ from .errors import ConfigError
 
 # Accepted value types per field annotation. A bool is an int to Python, so
 # it is refused where a number is meant and is the only thing `bool` takes.
-_SCALAR_TYPES = {"int": int, "float": (int, float), "bool": bool}
+_SCALAR_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
 def check_field_types(cfg) -> None:
-    """Raise ConfigError when a dataclass field annotated `int`, `float` or
-    `bool` (optionally `| None`) holds a value of another type. The
+    """Raise ConfigError when a dataclass field annotated `int`, `float`,
+    `bool` or `str` (optionally `| None`) holds a value of another type. The
     annotations are read as strings, so the dataclass's module must use
     `from __future__ import annotations`."""
     for f in fields(cfg):

@@ -1,17 +1,21 @@
 """End-to-end command-line runs: artifacts, reproducibility, exit codes."""
 
+import argparse
 import json
 import os
 import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from alphanet.cli import _parse_grid, main
+from alphanet.cli import _gen_config, _parse_grid, _run_config, build_parser, main
+from alphanet.config import RunConfig
+from alphanet.datagen import GenConfig
 from alphanet.errors import ConfigError
 
 
@@ -129,6 +133,23 @@ def test_config_file_merges_under_flags(pipeline):
     assert merged["epochs"] == 1  # file beats default
 
 
+def test_config_file_out_dir_is_honoured(pipeline, tmp_path):
+    from_file, from_flag = tmp_path / "from_file", tmp_path / "from_flag"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"out_dir": str(from_file), "epochs": 2}))
+    train = [
+        "train", "--config", str(cfg_path),
+        "--dataset", str(pipeline["data"] / "dataset.json"),
+        "--bank", str(pipeline["base"] / "bank.json"), "--top-k", "2", "--reduced-dim", "4",
+    ]
+    assert main([*train, "--out-dir", str(from_flag)]) == 0  # flag beats file
+    assert (from_flag / "composed.json").is_file() and not from_file.exists()
+    assert main(train) == 0
+    assert (from_file / "composed.json").is_file()
+    config = json.loads((from_file / "run.json").read_text())["config"]
+    assert config["out_dir"] == str(from_file) and config["epochs"] == 2
+
+
 def test_sweep_covers_the_whole_grid(pipeline):
     out = pipeline["root"] / "sweep"
     assert main([
@@ -178,6 +199,73 @@ def test_datagen_accepts_a_per_class_rho_list(pipeline, tmp_path):
     ]) == 0
     cfg = json.loads((tmp_path / "run.json").read_text())["config"]
     assert cfg["rho"] == [0.9, 0.8, 0.7, 0.2, 0.1]
+
+
+# ---------------------------------------------------------------------------
+# Flags
+
+
+def _long_options(command: str) -> set[str]:
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        a.option_strings[0]
+        for a in sub.choices[command]._actions
+        if a.option_strings and not isinstance(a, argparse._HelpAction)
+    }
+
+
+def _dashed(cls) -> set[str]:
+    return {"--" + f.name.replace("_", "-") for f in fields(cls)}
+
+
+def test_flags_are_exactly_the_config_fields():
+    assert _long_options("datagen") == _dashed(GenConfig) | {"--config", "--out-dir"}
+    assert _long_options("train") == _dashed(RunConfig) | {"--config"}
+    assert _long_options("sweep") == _dashed(RunConfig) | {
+        "--config", "--axis", "--grid", "--partition",
+    }
+
+
+def _argv(command: str, values: dict) -> list[str]:
+    argv = [command]
+    for name, value in values.items():
+        flag = "--" + name.replace("_", "-")
+        if isinstance(value, bool):
+            argv.append(flag if value else "--no-" + flag[2:])
+        elif isinstance(value, list):
+            argv += [flag, ",".join(map(str, value))]
+        else:
+            argv += [flag, str(value)]
+    return argv
+
+
+def _assert_typed_non_defaults(cfg, values: dict) -> None:
+    defaults = type(cfg)().to_dict()
+    assert list(values) == list(defaults)
+    assert all(values[name] != defaults[name] for name in values)
+    assert cfg.to_dict() == values
+    assert {k: type(v) for k, v in cfg.to_dict().items()} == {k: type(v) for k, v in values.items()}
+
+
+def test_every_flag_reaches_the_merged_config():
+    run_values = {
+        "dataset": "d.json", "bank": "b.json", "out_dir": "out", "gamma": 0.3,
+        "top_k": 3, "reduced_dim": 4, "hidden": 6, "slope": 0.02, "lr0": 0.05,
+        "momentum": 0.5, "batch_size": 32, "epochs": 7, "weight_decay": 0.001,
+        "seed": 9, "strict_alpha": True, "init_gain": 1.5, "init_margin": 0.1,
+    }
+    args = build_parser().parse_args(_argv("train", run_values))
+    _assert_typed_non_defaults(_run_config(args), run_values)
+    gen_values = {
+        "n_classes": 12, "feature_dim": 6, "head_count": 80, "tail_count": 4,
+        "decay_exponent": 2.0, "explicit_counts": [80, 60, 40, 30, 20, 12, 9, 7, 6, 5, 4, 4],
+        "sigma": 0.5, "rho": [0.9, 0.2], "mean_scale": 1.5, "n_groups": 3,
+        "group_spread": 0.25, "val_per_class": 4, "test_per_class": 5,
+        "many_gt": 60, "few_lt": 10, "seed": 9,
+    }
+    args = build_parser().parse_args([*_argv("datagen", gen_values), "--out-dir", "out"])
+    _assert_typed_non_defaults(_gen_config(args), gen_values)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +396,39 @@ def test_exit_1_for_config_values_of_the_wrong_type(pipeline, tmp_path, capsys):
         cfg_path.write_text(json.dumps(bad))
         assert main(datagen) == 1, bad
         assert f"error: {next(iter(bad))}" in capsys.readouterr().err
+    # string fields, with no flag to override the file
+    for bad in ({"dataset": 5}, {"bank": ["x"]}, {"out_dir": 3}):
+        cfg_path.write_text(json.dumps(bad))
+        assert main(["train", "--config", str(cfg_path)]) == 1, bad
+        assert capsys.readouterr().err.startswith(f"error: {next(iter(bad))}")
     assert not (tmp_path / "out").exists() and not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--axis", "topk", "--grid", "0:3:0.5"],
+        ["sweep", "--axis", "topk", "--grid", "0,99", "--epochs", "1"],
+        ["train", "--top-k", "99", "--epochs", "1"],
+        ["datagen", "--few-lt", "3"],
+        ["baseline", "--epochs", "-1"],
+    ],
+    ids=["sweep-grid-fraction", "sweep-k-too-large", "train-k-too-large",
+         "datagen-no-few-class", "baseline-negative-epochs"],
+)
+def test_rejected_command_creates_no_output_directory(pipeline, tmp_path, capsys, argv):
+    dataset = ["--dataset", str(pipeline["data"] / "dataset.json")]
+    inputs = {
+        "datagen": [],
+        "baseline": dataset,
+        "train": [*dataset, "--bank", str(pipeline["base"] / "bank.json")],
+    }
+    out = tmp_path / "out"
+    rc = main([*argv, *inputs.get(argv[0], inputs["train"]), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_exit_2_for_corrupt_tensor_file(pipeline, tmp_path, capsys):
