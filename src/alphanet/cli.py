@@ -98,9 +98,9 @@ def _load_json_config(path: str | None) -> dict:
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     try:
-        d = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
+        d = json.loads(p.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"config file {p} is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(d, dict):
         raise ConfigError(f"config file {p} must contain a JSON object")
     return d

@@ -11,18 +11,27 @@ from .errors import ConfigError
 _SCALAR_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
+def _has_type(value, kind: str) -> bool:
+    """Whether `value` fits one alternative of an annotation: `None`, a
+    scalar kind, or `list[kind]` with every entry fitting."""
+    if kind == "None":
+        return value is None
+    if kind.startswith("list[") and kind.endswith("]"):
+        return isinstance(value, list) and all(_has_type(v, kind[5:-1]) for v in value)
+    is_bool = isinstance(value, bool)
+    return isinstance(value, _SCALAR_TYPES[kind]) and (kind == "bool" or not is_bool)
+
+
 def check_field_types(cfg) -> None:
-    """Raise ConfigError when a dataclass field annotated `int`, `float`,
-    `bool` or `str` (optionally `| None`) holds a value of another type. The
-    annotations are read as strings, so the dataclass's module must use
+    """Raise ConfigError when a dataclass field holds a value that fits no
+    alternative of its annotation, such as `float | list[float]` or
+    `int | None`; see `_has_type`. Every annotation must be built from
+    `None`, `list[...]` and the kinds in `_SCALAR_TYPES`. The annotations are
+    read as strings, so the dataclass's module must use
     `from __future__ import annotations`."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        kind = f.type.removesuffix(" | None")
-        if kind not in _SCALAR_TYPES or (value is None and kind != f.type):
-            continue
-        is_bool = isinstance(value, bool)
-        if not isinstance(value, _SCALAR_TYPES[kind]) or (is_bool and kind != "bool"):
+        if not any(_has_type(value, kind) for kind in f.type.split(" | ")):
             raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
 
 

@@ -9,10 +9,11 @@ Tensor file format (bit-exact round-trip):
     dims    rank x u32, little-endian
     payload row-major binary64 values
 
-Banks and datasets are stored as one UTF-8 JSON manifest plus one tensor
-file per array; tensor file names are recorded in the manifest relative to
-it. All writes go through a temp-file-and-rename so readers never observe a
-partial file.
+Banks, datasets and models are stored as bundles: one UTF-8 JSON manifest
+plus one tensor file per array, with the tensor file names recorded in the
+manifest relative to it. `_write_bundle` and `_read_bundle` are the only
+code that knows this layout. All writes go through a temp-file-and-rename
+so readers never observe a partial file.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import json
 import os
 import struct
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -321,13 +323,6 @@ def read_tensor(path) -> np.ndarray:
 # Manifest-based containers
 
 
-def _read_manifest(path) -> dict:
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise IntegrityError(f"manifest {path} is not valid JSON: {exc}") from exc
-
-
 def _write_bundle(path, tensors: dict[str, np.ndarray], manifest: dict) -> None:
     """Write each tensor as `<stem>_<key>.alft` beside the manifest, then the
     JSON manifest at `path` with those file names under "tensor_files"."""
@@ -342,6 +337,36 @@ def _write_bundle(path, tensors: dict[str, np.ndarray], manifest: dict) -> None:
         manifest | {"tensor_files": tensor_files}, ensure_ascii=False, indent=2, sort_keys=True
     )
     _atomic_write_bytes(path, text.encode("utf-8") + b"\n")
+
+
+@contextmanager
+def _read_bundle(path, what: str, shapes):
+    """Inverse of `_write_bundle`: yields the manifest at `path` and its
+    tensors, and the caller builds its `what` (bank, dataset, model) inside
+    the `with` block.
+
+    `shapes(manifest)` maps each tensor key to read onto its exact shape. A
+    manifest that is not UTF-8 JSON or lacks a field, a tensor of another
+    shape, and any KeyError, TypeError, ValueError, IntegrityError or
+    NumericError that `shapes` or the block raises on the manifest's values
+    become an IntegrityError naming `path`. A missing tensor file stays an
+    OSError and a corrupt one a FormatError.
+    """
+    path = Path(path)
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        tensors = {}
+        for key, shape in shapes(manifest).items():
+            tensors[key] = read_tensor(path.parent / manifest["tensor_files"][key])
+            if tensors[key].shape != shape:
+                raise IntegrityError(
+                    f"{key} tensor has shape {tensors[key].shape}, expected {shape}"
+                )
+        yield manifest, tensors
+    except KeyError as exc:
+        raise IntegrityError(f"{what} {path}: missing field {exc}") from exc
+    except (TypeError, ValueError, IntegrityError, NumericError) as exc:
+        raise IntegrityError(f"{what} {path}: {exc}") from exc
 
 
 def save_bank(path, bank: ClassifierBank) -> None:
@@ -360,31 +385,18 @@ def save_bank(path, bank: ClassifierBank) -> None:
 
 
 def load_bank(path) -> ClassifierBank:
-    path = Path(path)
-    m = _read_manifest(path)
-    try:
-        split = SplitSpec(labels=tuple(m["splits"]), train_counts=tuple(m["counts"]))
-        weights = read_tensor(path.parent / m["tensor_files"]["weights"])
-        biases = read_tensor(path.parent / m["tensor_files"]["biases"])
-        n, d = int(m["n_classes"]), int(m["feature_dim"])
-    except KeyError as exc:
-        raise IntegrityError(f"bank manifest {path} missing field {exc}") from exc
-    if split.n_classes != n:
-        raise IntegrityError(f"manifest n_classes {n} vs {split.n_classes} split labels")
-    if weights.shape != (n, d):
-        raise IntegrityError(
-            f"manifest says {n}x{d} weights but tensor has shape {weights.shape}"
-        )
-    if biases.shape != (n,):
-        raise IntegrityError(
-            f"manifest says {n} biases but tensor has shape {biases.shape}"
-        )
-    try:
+    """Inverse of `save_bank`."""
+
+    def shapes(m):
+        return {"weights": (m["n_classes"], m["feature_dim"]), "biases": (m["n_classes"],)}
+
+    with _read_bundle(path, "bank", shapes) as (m, t):
         return ClassifierBank(
-            weights=weights, biases=biases, split=split, provenance=m.get("provenance", "")
+            weights=t["weights"],
+            biases=t["biases"],
+            split=SplitSpec(labels=tuple(m["splits"]), train_counts=tuple(m["counts"])),
+            provenance=m.get("provenance", ""),
         )
-    except NumericError as exc:
-        raise IntegrityError(f"bank {path}: {exc}") from exc
 
 
 def save_dataset(path, ds: FeatureDataset) -> None:
@@ -413,35 +425,20 @@ def save_dataset(path, ds: FeatureDataset) -> None:
 def load_dataset(path) -> FeatureDataset:
     """Inverse of `save_dataset`. A manifest without split thresholds gets the
     defaults, so datasets saved without them still load."""
-    path = Path(path)
-    m = _read_manifest(path)
-    try:
-        features = read_tensor(path.parent / m["tensor_files"]["features"])
-        labels = read_tensor(path.parent / m["tensor_files"]["labels"])
-        partitions = read_tensor(path.parent / m["tensor_files"]["partitions"])
-        n, d, n_classes = int(m["n_samples"]), int(m["feature_dim"]), int(m["n_classes"])
-    except KeyError as exc:
-        raise IntegrityError(f"dataset manifest {path} missing field {exc}") from exc
-    if features.shape != (n, d):
-        raise IntegrityError(
-            f"manifest says {n}x{d} features but tensor has shape {features.shape}"
-        )
-    for name, arr in (("labels", labels), ("partitions", partitions)):
-        if arr.shape != (n,):
-            raise IntegrityError(
-                f"manifest says {n} samples but {name} tensor has shape {arr.shape}"
-            )
-        if not np.all(arr == np.round(arr)):
-            raise IntegrityError(f"{name} tensor holds non-integer values")
-    try:
+
+    def shapes(m):
+        n = m["n_samples"]
+        return {"features": (n, m["feature_dim"]), "labels": (n,), "partitions": (n,)}
+
+    with _read_bundle(path, "dataset", shapes) as (m, t):
+        for name in ("labels", "partitions"):
+            if not np.all(t[name] == np.round(t[name])):
+                raise IntegrityError(f"{name} tensor holds non-integer values")
         return FeatureDataset(
-            features=features,
-            labels=labels.astype(np.int64),
-            partitions=partitions.astype(np.uint8),
-            n_classes=n_classes,
+            features=t["features"],
+            labels=t["labels"].astype(np.int64),
+            partitions=t["partitions"].astype(np.uint8),
+            n_classes=int(m["n_classes"]),
             many_gt=m.get("many_gt", MANY_GT),
             few_lt=m.get("few_lt", FEW_LT),
         )
-    except (NumericError, IntegrityError) as exc:
-        raise IntegrityError(f"dataset {path}: {exc}") from exc
-

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -24,9 +23,8 @@ from .data import (
     FeatureDataset,
     SplitSpec,
     _atomic_write_bytes,
-    _read_manifest,
+    _read_bundle,
     _write_bundle,
-    read_tensor,
 )
 from .errors import ConfigError, IntegrityError, NumericError, ShapeError, TrainingError
 from .neighbors import NeighborSet, base_distances, class_means, pca_apply, pca_fit
@@ -534,10 +532,6 @@ def fit(
 # Snapshot serialization
 
 
-#: The tensor files of a saved model, keys of its manifest's "tensor_files".
-_MODEL_TENSORS = ("fc1_w", "fc1_b", "fc2_w", "fc2_b", "reduced", "set_biases", "full_rows")
-
-
 def save_model(path, model: AlphaModel) -> None:
     """Write the sub-module parameters and frozen neighbor inputs as a JSON
     manifest plus stacked 2-D tensor files alongside."""
@@ -573,78 +567,55 @@ def load_model(path, bank: ClassifierBank) -> AlphaModel:
     """Inverse of `save_model`. The caller supplies the frozen bank, which must
     be the one the model was built from: the stored full rows and biases must
     equal the bank's rows byte for byte."""
-    path = Path(path)
-    m = _read_manifest(path)
-    try:
-        f = int(m["n_few"])
-        top_k = int(m["top_k"])
-        hidden = int(m["hidden"])
-        reduced_dim = int(m["reduced_dim"])
-        gamma, slope, strict_alpha = float(m["gamma"]), float(m["slope"]), bool(m["strict_alpha"])
-        arrays = {k: read_tensor(path.parent / m["tensor_files"][k]) for k in _MODEL_TENSORS}
-        few_ids = [int(c) for c in m["few_ids"]]
-        neighbors = [[int(c) for c in ids] for ids in m["neighbors"]]
-        distances = [[float(x) for x in row] for row in m["distances"]]
-    except KeyError as exc:
-        raise IntegrityError(f"model manifest {path} missing field {exc}") from exc
-    if not len(few_ids) == len(neighbors) == len(distances) == f:
-        raise IntegrityError(
-            f"model manifest {path} has {len(few_ids)} few ids, {len(neighbors)} neighbor "
-            f"lists and {len(distances)} distance lists for n_few {f}"
-        )
-    if any(len(row) != top_k for row in neighbors + distances):
-        raise IntegrityError(
-            f"model manifest {path}: a neighbor or distance list is not {top_k} long"
-        )
-    kp1 = top_k + 1
-    if tuple(few_ids) != bank.split.few_ids:
-        raise IntegrityError(
-            f"model was built for few classes {few_ids}, bank has {list(bank.split.few_ids)}"
-        )
-    expected = {
-        "fc1_w": (f * hidden, kp1 * reduced_dim),
-        "fc1_b": (f, hidden),
-        "fc2_w": (f * kp1, hidden),
-        "fc2_b": (f, kp1),
-        "reduced": (f * kp1, reduced_dim),
-        "set_biases": (f, kp1),
-        "full_rows": (f * kp1, bank.feature_dim),
-    }
-    for key, shape in expected.items():
-        if arrays[key].shape != shape:
+
+    def shapes(m):
+        f, h, kp1, d = m["n_few"], m["hidden"], m["top_k"] + 1, m["reduced_dim"]
+        return {
+            "fc1_w": (f * h, kp1 * d),
+            "fc1_b": (f, h),
+            "fc2_w": (f * kp1, h),
+            "fc2_b": (f, kp1),
+            "reduced": (f * kp1, d),
+            "set_biases": (f, kp1),
+            "full_rows": (f * kp1, bank.feature_dim),
+        }
+
+    with _read_bundle(path, "model", shapes) as (m, t):
+        if m["few_ids"] != list(bank.split.few_ids):
             raise IntegrityError(
-                f"model tensor {key} has shape {arrays[key].shape}, expected {shape}"
+                f"built for few classes {m['few_ids']}, bank has {list(bank.split.few_ids)}"
             )
-    try:
+        f, k, h, d = (int(m[key]) for key in ("n_few", "top_k", "hidden", "reduced_dim"))
+        # An empty JSON list keeps no row length: it is 0 rows of K. Any other
+        # list keeps its own shape for AlphaModel to check.
+        lists = (np.array(m["neighbors"], dtype=np.int64), np.array(m["distances"], dtype=float))
+        neighbors, distances = (a.reshape(0, k) if a.shape == (0,) else a for a in lists)
         model = AlphaModel(
-            gamma=gamma,
-            top_k=top_k,
-            reduced_dim=reduced_dim,
-            hidden=hidden,
-            slope=slope,
-            neighbors=np.array(neighbors, dtype=np.int64).reshape(f, top_k),
-            distances=np.array(distances, dtype=np.float64).reshape(f, top_k),
-            reduced=arrays["reduced"].reshape(f, kp1, reduced_dim),
+            gamma=float(m["gamma"]),
+            top_k=k,
+            reduced_dim=d,
+            hidden=h,
+            slope=float(m["slope"]),
+            neighbors=neighbors,
+            distances=distances,
+            reduced=t["reduced"].reshape(f, k + 1, d),
             params=[
-                arrays["fc1_w"].reshape(f, hidden, kp1 * reduced_dim),
-                arrays["fc1_b"],
-                arrays["fc2_w"].reshape(f, kp1, hidden),
-                arrays["fc2_b"],
+                t["fc1_w"].reshape(f, h, (k + 1) * d),
+                t["fc1_b"],
+                t["fc2_w"].reshape(f, k + 1, h),
+                t["fc2_b"],
             ],
             bank=bank,
-            strict_alpha=strict_alpha,
+            strict_alpha=bool(m["strict_alpha"]),
         )
-    except IntegrityError as exc:
-        raise IntegrityError(f"model {path}: {exc}") from exc
-    if (
-        model.full_rows.tobytes() != arrays["full_rows"].tobytes()
-        or model.set_biases.tobytes() != arrays["set_biases"].tobytes()
-    ):
-        raise IntegrityError(
-            f"model {path} was built from another bank: its stored neighbor rows "
-            "differ from the bank's"
-        )
-    return model
+        if (
+            model.full_rows.tobytes() != t["full_rows"].tobytes()
+            or model.set_biases.tobytes() != t["set_biases"].tobytes()
+        ):
+            raise IntegrityError(
+                "built from another bank: its stored neighbor rows differ from the bank's"
+            )
+        return model
 
 
 def write_train_log(path, log: list[dict]) -> None:

@@ -155,7 +155,8 @@ def mean_softmax_xent(scores: np.ndarray, labels) -> tuple[float, np.ndarray]:
 
     Each row's loss is log-sum-exp minus the label's shifted score, which is
     finite for any finite scores; the gradient is
-    ``(softmax(scores) - onehot(labels)) / n``.
+    ``(softmax(scores) - onehot(labels)) / n``, with the softmax built from
+    the same exponentials and row sums as the loss.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -166,11 +167,13 @@ def mean_softmax_xent(scores: np.ndarray, labels) -> tuple[float, np.ndarray]:
         raise ShapeError(f"mean_softmax_xent: labels must lie in [0, {n_classes})")
     rows = np.arange(n)
     shifted = scores - np.max(scores, axis=-1, keepdims=True)
-    losses = np.log(np.sum(np.exp(shifted), axis=-1)) - shifted[rows, labels]
+    e = np.exp(shifted)
+    total = np.sum(e, axis=-1, keepdims=True)
+    losses = np.log(total[:, 0]) - shifted[rows, labels]
     if not np.all(np.isfinite(losses)):
         bad = int(np.argmax(~np.isfinite(losses)))
         raise NumericError(f"non-finite loss for sample {bad}")
-    grad = softmax(scores)
+    grad = e / total
     grad[rows, labels] -= 1.0
     return float(losses.mean()), (1.0 / n) * grad
 

@@ -392,7 +392,11 @@ def test_exit_1_for_config_values_of_the_wrong_type(pipeline, tmp_path, capsys):
         assert main(train) == 1, bad
         assert f"error: {next(iter(bad))}" in capsys.readouterr().err
     datagen = ["datagen", "--config", str(cfg_path), "--out-dir", str(tmp_path / "data")]
-    for bad in ({"feature_dim": "16"}, {"sigma": "0.9"}, {"n_groups": True}, {"n_classes": 50.5}):
+    for bad in (
+        {"feature_dim": "16"}, {"sigma": "0.9"}, {"n_groups": True}, {"n_classes": 50.5},
+        {"rho": "abc"}, {"rho": [0.5, "x"]}, {"rho": [True]},
+        {"explicit_counts": "x"}, {"explicit_counts": [150.7] + [150] * 49},
+    ):
         cfg_path.write_text(json.dumps(bad))
         assert main(datagen) == 1, bad
         assert f"error: {next(iter(bad))}" in capsys.readouterr().err
@@ -402,6 +406,14 @@ def test_exit_1_for_config_values_of_the_wrong_type(pipeline, tmp_path, capsys):
         assert main(["train", "--config", str(cfg_path)]) == 1, bad
         assert capsys.readouterr().err.startswith(f"error: {next(iter(bad))}")
     assert not (tmp_path / "out").exists() and not (tmp_path / "data").exists()
+
+
+def test_exit_1_for_a_config_file_that_is_not_utf8(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(json.dumps({"epochs": 2}).encode("utf-16"))
+    assert main(["train", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(cfg_path) in err
 
 
 @pytest.mark.parametrize(
@@ -455,6 +467,39 @@ def test_exit_2_for_corrupt_tensor_file(pipeline, tmp_path, capsys):
     rc = main(["baseline", "--dataset", str(manifest_path), "--out-dir", str(tmp_path / "b")])
     assert rc == 2
     assert "inverted" in capsys.readouterr().err
+
+
+#: Malformed bank and dataset manifests, as (kind, case) -> new manifest bytes.
+_BAD_MANIFESTS = {
+    (kind, case): edit
+    for kind in ("bank", "dataset")
+    for case, edit in {
+        "list": lambda m: json.dumps([m]).encode(),
+        "tensor_files_not_an_object": lambda m: json.dumps(m | {"tensor_files": "x"}).encode(),
+        "count_not_a_number": lambda m: json.dumps(m | {"n_classes": "fifty"}).encode(),
+        "not_utf8": lambda m: json.dumps(m).encode("utf-16"),
+    }.items()
+} | {("bank", "splits_not_iterable"): lambda m: json.dumps(m | {"splits": 5}).encode()}
+
+
+@pytest.mark.parametrize("kind, case", list(_BAD_MANIFESTS))
+def test_exit_2_for_a_malformed_manifest(pipeline, tmp_path, capsys, kind, case):
+    """`train --bank` and `baseline --dataset` report a malformed manifest as
+    an error naming the file, not a traceback."""
+    source = pipeline["base"] if kind == "bank" else pipeline["data"]
+    shutil.copytree(source, tmp_path / kind)
+    path = tmp_path / kind / f"{kind}.json"
+    path.write_bytes(_BAD_MANIFESTS[kind, case](json.loads(path.read_text())))
+    if kind == "bank":
+        dataset = str(pipeline["data"] / "dataset.json")
+        argv = ["train", "--dataset", dataset, "--bank", str(path), "--epochs", "1"]
+    else:
+        argv = ["baseline", "--dataset", str(path), "--epochs", "1"]
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert not out.exists()
 
 
 def test_exit_2_for_eval_against_another_baseline(pipeline, tmp_path, capsys):

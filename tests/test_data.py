@@ -1,4 +1,4 @@
-"""Split assignment, the ALFT tensor format, and manifest round-trips."""
+"""Split assignment, the ALFT tensor format, and bundle round-trips."""
 
 import json
 from pathlib import Path
@@ -22,6 +22,7 @@ from alphanet.data import (
     write_tensor,
 )
 from alphanet.errors import ConfigError, FormatError, IntegrityError, ShapeError
+from alphanet.model import AlphaModel, load_model, save_model
 
 
 def test_assign_splits_threshold_examples():
@@ -345,3 +346,85 @@ def test_feature_dataset_validates_labels():
                 n_classes=2,
                 **thresholds,
             )
+
+
+# ---------------------------------------------------------------------------
+# Malformed bundles
+
+
+def _saved_bundle(kind, tmp_path):
+    """Save a small bank, dataset or model (F=2 few classes, K=2); return its
+    manifest path and a loader for it."""
+    rng = np.random.default_rng(11)
+    bank = _random_bank(rng)  # classes 4 and 5 are few, 0-3 base
+    if kind == "bank":
+        save_bank(tmp_path / "bank.json", bank)
+        return tmp_path / "bank.json", load_bank
+    if kind == "dataset":
+        save_dataset(tmp_path / "ds.json", _random_dataset(rng))
+        return tmp_path / "ds.json", load_dataset
+    f, k, d, h = 2, 2, 2, 4
+    shapes = [(f, h, (k + 1) * d), (f, h), (f, k + 1, h), (f, k + 1)]
+    model = AlphaModel(
+        gamma=0.6, top_k=k, reduced_dim=d, hidden=h, slope=0.01,
+        neighbors=[[0, 1], [2, 3]], distances=[[0.5, 1.0], [0.25, 2.0]],
+        reduced=rng.normal(size=(f, k + 1, d)),
+        params=[rng.normal(size=shape) for shape in shapes], bank=bank,
+    )
+    save_model(tmp_path / "model.json", model)
+    return tmp_path / "model.json", lambda path: load_model(path, bank)
+
+
+def _write_json(path, value):
+    path.write_text(json.dumps(value))
+
+
+def _transposed(key):
+    """Rewrite tensor `key` transposed: same size, other shape."""
+
+    def edit(path, m):
+        tensor = path.parent / m["tensor_files"][key]
+        write_tensor(tensor, read_tensor(tensor).T)
+
+    return edit
+
+
+#: Edits that break any bundle the same way.
+_ANY_BUNDLE = {
+    "list_manifest": lambda path, m: _write_json(path, [m]),
+    "tensor_files_not_an_object": lambda path, m: _write_json(path, m | {"tensor_files": "x"}),
+    "file_name_not_a_string": lambda path, m: _write_json(
+        path, m | {"tensor_files": dict.fromkeys(m["tensor_files"], 5)}
+    ),
+    "not_utf8": lambda path, m: path.write_bytes(json.dumps(m).encode("utf-16")),
+}
+
+#: Ways to break a saved bundle, as (kind, case) -> edit(manifest path, manifest).
+_MALFORMED = {
+    (kind, case): edit
+    for kind in ("bank", "dataset", "model")
+    for case, edit in _ANY_BUNDLE.items()
+} | {
+    ("bank", "count_not_a_number"): lambda path, m: _write_json(path, m | {"n_classes": "fifty"}),
+    ("bank", "splits_not_iterable"): lambda path, m: _write_json(path, m | {"splits": 5}),
+    ("bank", "transposed_tensor"): _transposed("weights"),
+    ("dataset", "count_not_a_number"): lambda path, m: _write_json(path, m | {"n_samples": "many"}),
+    ("dataset", "transposed_tensor"): _transposed("features"),
+    ("model", "count_not_a_number"): lambda path, m: _write_json(path, m | {"top_k": "two"}),
+    ("model", "neighbors_not_iterable"): lambda path, m: _write_json(path, m | {"neighbors": 5}),
+    # [[a, b, c, d]] holds F*K ids; a loader that reshapes by size re-splits it
+    ("model", "neighbors_one_long_row"): lambda path, m: _write_json(
+        path, m | {"neighbors": [sum(m["neighbors"], [])]}
+    ),
+    ("model", "transposed_tensor"): _transposed("fc1_w"),
+}
+
+
+@pytest.mark.parametrize("kind, case", list(_MALFORMED))
+def test_malformed_bundle_is_an_integrity_error_naming_the_manifest(tmp_path, kind, case):
+    path, load = _saved_bundle(kind, tmp_path)
+    load(path)
+    _MALFORMED[kind, case](path, json.loads(path.read_text()))
+    with pytest.raises(IntegrityError) as exc:
+        load(path)
+    assert str(path) in str(exc.value)
