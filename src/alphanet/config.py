@@ -22,17 +22,20 @@ def _has_type(value, kind: str) -> bool:
     return isinstance(value, _SCALAR_TYPES[kind]) and (kind == "bool" or not is_bool)
 
 
-def check_field_types(cfg) -> None:
-    """Raise ConfigError when a dataclass field holds a value that fits no
-    alternative of its annotation, such as `float | list[float]` or
-    `int | None`; see `_has_type`. Every annotation must be built from
-    `None`, `list[...]` and the kinds in `_SCALAR_TYPES`. The annotations are
-    read as strings, so the dataclass's module must use
+def check_field_types(cfg, names=None, error=ConfigError) -> None:
+    """Raise `error` when a dataclass field, of those in `names` or of all
+    when it is None, holds a value that fits no alternative of its
+    annotation, such as `float | list[float]` or `int | None`; see
+    `_has_type`. Every annotation checked must be built from `None`,
+    `list[...]` and the kinds in `_SCALAR_TYPES`. The annotations are read
+    as strings, so the dataclass's module must use
     `from __future__ import annotations`."""
     for f in fields(cfg):
+        if names is not None and f.name not in names:
+            continue
         value = getattr(cfg, f.name)
         if not any(_has_type(value, kind) for kind in f.type.split(" | ")):
-            raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
+            raise error(f"{f.name} must be of type {f.type}, got {value!r}")
 
 
 @dataclass

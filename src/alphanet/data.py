@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import check_field_types
 from .errors import (
     ConfigError,
     FormatError,
@@ -199,17 +200,16 @@ class FeatureDataset:
     few_lt: int = FEW_LT
 
     def __post_init__(self):
-        if any(type(t) is not int for t in (self.many_gt, self.few_lt)):
-            raise IntegrityError(
-                f"split thresholds must be integers, got many_gt {self.many_gt!r}, "
-                f"few_lt {self.few_lt!r}"
-            )
+        check_field_types(self, ("n_classes", "many_gt", "few_lt"), IntegrityError)
         if self.few_lt > self.many_gt:
             raise IntegrityError(
                 f"split thresholds inverted: few_lt {self.few_lt} exceeds many_gt {self.many_gt}"
             )
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
         self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+        # Checked before the cast, which would wrap a code of 258 to 2.
+        if not np.isin(self.partitions, tuple(PARTITION_CODES.values())).all():
+            raise IntegrityError("partition codes must be 0 (train), 1 (val) or 2 (test)")
         self.partitions = np.ascontiguousarray(self.partitions, dtype=np.uint8)
         n = self.features.shape[0] if self.features.ndim == 2 else -1
         if self.features.ndim != 2:
@@ -224,8 +224,6 @@ class FeatureDataset:
                 f"labels outside [0, {self.n_classes}): "
                 f"min {self.labels.min()}, max {self.labels.max()}"
             )
-        if n and self.partitions.max() > 2:
-            raise IntegrityError("partition codes must be 0 (train), 1 (val) or 2 (test)")
         if not np.all(np.isfinite(self.features)):
             raise NumericError("dataset features contain non-finite entries")
 
@@ -289,21 +287,21 @@ def read_tensor(path) -> np.ndarray:
     """Read an ALFT tensor file; inverse of `write_tensor`, bit-exact."""
     data = Path(path).read_bytes()
     if len(data) < 4:
-        raise FormatError("truncated header: missing magic", len(data))
+        raise FormatError(path, "truncated header: missing magic", len(data))
     if data[:4] != MAGIC:
-        raise FormatError(f"bad magic {data[:4]!r}, expected {MAGIC!r}", 0)
+        raise FormatError(path, f"bad magic {data[:4]!r}, expected {MAGIC!r}", 0)
     if len(data) < 7:
-        raise FormatError("truncated header", len(data))
+        raise FormatError(path, "truncated header", len(data))
     if data[4] != FORMAT_VERSION:
-        raise FormatError(f"unsupported version 0x{data[4]:02x}", 4)
+        raise FormatError(path, f"unsupported version 0x{data[4]:02x}", 4)
     if data[5] != DTYPE_F64:
-        raise FormatError(f"unsupported dtype 0x{data[5]:02x}", 5)
+        raise FormatError(path, f"unsupported dtype 0x{data[5]:02x}", 5)
     rank = data[6]
     if rank not in (1, 2):
-        raise FormatError(f"rank must be 1 or 2, got {rank}", 6)
+        raise FormatError(path, f"rank must be 1 or 2, got {rank}", 6)
     dims_end = 7 + 4 * rank
     if len(data) < dims_end:
-        raise FormatError("truncated dimension list", len(data))
+        raise FormatError(path, "truncated dimension list", len(data))
     dims = tuple(
         struct.unpack_from("<I", data, 7 + 4 * i)[0] for i in range(rank)
     )
@@ -311,10 +309,10 @@ def read_tensor(path) -> np.ndarray:
     expected_end = dims_end + 8 * count
     if len(data) < expected_end:
         raise FormatError(
-            f"truncated payload: expected {expected_end - dims_end} bytes", len(data)
+            path, f"truncated payload: expected {expected_end - dims_end} bytes", len(data)
         )
     if len(data) > expected_end:
-        raise FormatError("trailing bytes after payload", expected_end)
+        raise FormatError(path, "trailing bytes after payload", expected_end)
     flat = np.frombuffer(data, dtype=_F64_LE, count=count, offset=dims_end)
     return flat.reshape(dims).astype(np.float64, copy=True)
 
@@ -437,8 +435,8 @@ def load_dataset(path) -> FeatureDataset:
         return FeatureDataset(
             features=t["features"],
             labels=t["labels"].astype(np.int64),
-            partitions=t["partitions"].astype(np.uint8),
-            n_classes=int(m["n_classes"]),
+            partitions=t["partitions"],
+            n_classes=m["n_classes"],
             many_gt=m.get("many_gt", MANY_GT),
             few_lt=m.get("few_lt", FEW_LT),
         )

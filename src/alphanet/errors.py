@@ -18,10 +18,11 @@ class ShapeError(AlphanetError):
 
 
 class FormatError(AlphanetError):
-    """Malformed tensor file. Carries the byte offset of the failure."""
+    """Malformed tensor file. Names the file and carries the byte offset of
+    the failure."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at byte offset {offset})")
+    def __init__(self, path, message: str, offset: int):
+        super().__init__(f"{path}: {message} (at byte offset {offset})")
         self.offset = offset
 
 

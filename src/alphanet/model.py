@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import check_field_types
 from .data import (
     ClassifierBank,
     ComposedBank,
@@ -208,6 +209,10 @@ class AlphaModel:
     set_biases: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        check_field_types(
+            self, ("gamma", "top_k", "reduced_dim", "hidden", "slope", "strict_alpha"),
+            IntegrityError,
+        )
         few = self.bank.split.few_ids
         f, k, h, d = len(few), self.top_k, self.hidden, self.reduced_dim
         self.neighbors = np.asarray(self.neighbors, dtype=np.int64)
@@ -477,13 +482,17 @@ def fit(
     records mean training loss, the learning rate, and validation top-1/top-5
     for each split.
     """
-    from .reports import split_report
+    from .reports import _ranked_split_report
 
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
     rng = np.random.default_rng(seed)
     split = model.bank.split
+    few_ids = list(model.few_ids)
     val_x, val_y = ds.partition_arrays("val")
+    # Training moves only the few-class classifiers, so the base columns of
+    # the validation scores are computed once and the few columns each epoch.
+    val_scores = model.bank.scores(val_x)
     params = model.params
     velocities = [np.zeros_like(p) for p in params]
     best_few_top1, best_epoch, best_params = -np.inf, -1, [p.copy() for p in params]
@@ -506,7 +515,9 @@ def fit(
                 if weight_decay:
                     grad = grad + weight_decay * param
                 sgd_momentum_step(param, grad, vel, lr, momentum)
-        report = split_report(export_composed(model).scores(val_x), val_y, split)
+        u, t = _linear_mix(_alpha_forward(model)[-1], model.full_rows, model.set_biases)
+        val_scores[:, few_ids] = val_x @ u.T + t
+        report = _ranked_split_report(val_scores, val_y, split)
         few = report.accuracy("few")
         entry = {
             "epoch": epoch,
@@ -585,17 +596,17 @@ def load_model(path, bank: ClassifierBank) -> AlphaModel:
             raise IntegrityError(
                 f"built for few classes {m['few_ids']}, bank has {list(bank.split.few_ids)}"
             )
-        f, k, h, d = (int(m[key]) for key in ("n_few", "top_k", "hidden", "reduced_dim"))
+        f, k, h, d = (m[key] for key in ("n_few", "top_k", "hidden", "reduced_dim"))
         # An empty JSON list keeps no row length: it is 0 rows of K. Any other
         # list keeps its own shape for AlphaModel to check.
         lists = (np.array(m["neighbors"], dtype=np.int64), np.array(m["distances"], dtype=float))
         neighbors, distances = (a.reshape(0, k) if a.shape == (0,) else a for a in lists)
         model = AlphaModel(
-            gamma=float(m["gamma"]),
+            gamma=m["gamma"],
             top_k=k,
             reduced_dim=d,
             hidden=h,
-            slope=float(m["slope"]),
+            slope=m["slope"],
             neighbors=neighbors,
             distances=distances,
             reduced=t["reduced"].reshape(f, k + 1, d),
@@ -606,7 +617,7 @@ def load_model(path, bank: ClassifierBank) -> AlphaModel:
                 t["fc2_b"],
             ],
             bank=bank,
-            strict_alpha=bool(m["strict_alpha"]),
+            strict_alpha=m["strict_alpha"],
         )
         if (
             model.full_rows.tobytes() != t["full_rows"].tobytes()

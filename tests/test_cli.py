@@ -457,7 +457,8 @@ def test_exit_2_for_corrupt_tensor_file(pipeline, tmp_path, capsys):
         "--out-dir", str(tmp_path / "out"),
     ])
     assert rc == 2
-    assert "byte offset 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(feat) in err and "byte offset 0" in err
 
     manifest_path = data_copy / "dataset.json"
     manifest = json.loads(manifest_path.read_text())
@@ -517,6 +518,22 @@ def test_exit_2_for_eval_against_another_baseline(pipeline, tmp_path, capsys):
     assert rc == 2
     assert "was not built from" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_exit_3_for_a_nan_few_class_validation_score(pipeline, tmp_path, capsys):
+    """One batch per epoch and an overflowing step: the update after the last
+    batch leaves non-finite parameters, so training finishes the epoch and
+    its validation meets NaN in the few-class columns, not in the cached
+    base columns."""
+    data, base = pipeline["data"], pipeline["base"]
+    with np.errstate(all="ignore"):
+        rc = main([
+            "train", "--dataset", str(data / "dataset.json"), "--bank", str(base / "bank.json"),
+            "--out-dir", str(tmp_path), "--epochs", "2", "--top-k", "2", "--reduced-dim", "4",
+            "--lr0", "1e300", "--batch-size", "1000",
+        ])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: scores contain NaN\n"
 
 
 def test_exit_3_for_diverged_training(pipeline, tmp_path, capsys):

@@ -318,6 +318,21 @@ def test_dataset_corrupt_labels_detected(tmp_path):
     assert "labels" in str(exc.value)
 
 
+@pytest.mark.parametrize("code", [258.0, 3.0, -1.0])
+def test_dataset_partition_code_outside_0_1_2_is_rejected(tmp_path, code):
+    """A uint8 cast would wrap 258 to 2, a test sample; the code is checked first."""
+    ds = _random_dataset(np.random.default_rng(9))
+    codes = ds.partitions.astype(np.float64)
+    codes[0] = code
+    with pytest.raises(IntegrityError, match="partition codes"):
+        FeatureDataset(ds.features, ds.labels, codes, ds.n_classes)
+    save_dataset(tmp_path / "ds.json", ds)
+    write_tensor(tmp_path / "ds_partitions.alft", codes)
+    with pytest.raises(IntegrityError, match="partition codes") as exc:
+        load_dataset(tmp_path / "ds.json")
+    assert "ds.json" in str(exc.value)
+
+
 def test_dataset_partition_helpers():
     ds = _random_dataset(np.random.default_rng(10))
     x, y = ds.partition_arrays("train")
@@ -417,6 +432,13 @@ _MALFORMED = {
         path, m | {"neighbors": [sum(m["neighbors"], [])]}
     ),
     ("model", "transposed_tensor"): _transposed("fc1_w"),
+    # Scalars are type-checked, not coerced: bool("false") is True.
+    ("dataset", "count_as_string"): lambda path, m: _write_json(path, m | {"n_classes": "4"}),
+    ("dataset", "fractional_count"): lambda path, m: _write_json(path, m | {"n_classes": 4.7}),
+    ("model", "bool_as_string"): lambda path, m: _write_json(path, m | {"strict_alpha": "false"}),
+    ("model", "float_as_string"): lambda path, m: _write_json(path, m | {"gamma": "0.6"}),
+    ("model", "int_as_string"): lambda path, m: _write_json(path, m | {"hidden": "4"}),
+    ("model", "fractional_int"): lambda path, m: _write_json(path, m | {"hidden": 4.7}),
 }
 
 
@@ -428,3 +450,10 @@ def test_malformed_bundle_is_an_integrity_error_naming_the_manifest(tmp_path, ki
     with pytest.raises(IntegrityError) as exc:
         load(path)
     assert str(path) in str(exc.value)
+
+
+def test_integer_manifest_values_load_into_float_fields(tmp_path):
+    path, load = _saved_bundle("model", tmp_path)
+    _write_json(path, json.loads(path.read_text()) | {"gamma": 1, "slope": 0})
+    model = load(path)
+    assert (model.gamma, model.slope) == (1, 0)

@@ -586,6 +586,24 @@ def test_fit_leaves_the_model_at_its_last_validated_parameters():
     assert report.to_dict() == result.log[-1]["val"]
 
 
+@pytest.mark.parametrize("gamma, top_k", [(0.6, 2), (0.3, 5), (1.0, 0)])
+def test_fit_validates_each_epoch_as_the_exported_bank_scores(gamma, top_k):
+    """The per-epoch report, from cached base scores and one rank pass, is
+    the report of the composed bank the model would export at that epoch."""
+    ds, bank = _small_problem(seed=1)
+    model = build_model(bank, ds, gamma=gamma, top_k=top_k, reduced_dim=3, seed=1)
+    x, y = ds.partition_arrays("val")
+    seen = []
+
+    def check(entry):
+        report = split_report(export_composed(model).scores(x), y, bank.split)
+        assert entry["val"] == report.to_dict()
+        seen.append(entry["epoch"])
+
+    fit(model, ds, epochs=4, seed=1, on_epoch=check)
+    assert seen == [0, 1, 2, 3]
+
+
 def test_fit_ties_keep_the_earlier_epoch():
     ds, bank = _small_problem()
     model = build_model(bank, ds, top_k=2, reduced_dim=3, seed=0)

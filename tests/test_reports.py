@@ -20,6 +20,7 @@ from alphanet.reports import (
     SplitAccuracy,
     SplitReport,
     SweepRow,
+    _ranked_split_report,
     classwise_report,
     gamma_sweep,
     line_chart,
@@ -200,11 +201,12 @@ _SCORE_VALUES = st.one_of(
 @st.composite
 def _scored_batches(draw):
     n_classes = draw(st.integers(1, 7))
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(0, 12))
     cells = draw(st.lists(_SCORE_VALUES, min_size=n * n_classes, max_size=n * n_classes))
     labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
     # Train counts of 150/50/5 make many/medium/few classes; some splits
-    # have no class, others have classes but no sample.
+    # have no class, others have classes but no sample, and a batch may be
+    # empty.
     counts = draw(st.lists(st.sampled_from([150, 50, 5]), min_size=n_classes, max_size=n_classes))
     return np.array(cells).reshape(n, n_classes), np.array(labels), assign_splits(counts)
 
@@ -212,10 +214,10 @@ def _scored_batches(draw):
 @given(_scored_batches())
 def test_label_rank_metrics_match_the_stable_argsort_reference(batch):
     scores, labels, split = batch
-    assert split_report(scores, labels, split).to_dict() == _argsort_split_report(
-        scores, labels, split
-    )
-    for k in range(1, scores.shape[1] + 1):
+    reference = _argsort_split_report(scores, labels, split)
+    assert split_report(scores, labels, split).to_dict() == reference
+    assert _ranked_split_report(scores, labels, split).to_dict() == reference
+    for k in range(1, scores.shape[1] + 1) if labels.size else ():
         assert topk_accuracy(scores, labels, k) == _argsort_topk(scores, labels, k)
     assert np.array_equal(
         top1_predictions(scores), np.argsort(-scores, axis=1, kind="stable")[:, 0]
@@ -232,6 +234,8 @@ def test_metrics_reject_nan_scores():
     with pytest.raises(NumericError):
         split_report(scores, labels, split)
     with pytest.raises(NumericError):
+        _ranked_split_report(scores, labels, split)
+    with pytest.raises(NumericError):
         top1_predictions(scores)
     with pytest.raises(NumericError):
         classwise_report(np.zeros((3, 3)), scores, labels, {2: 1.0})
@@ -245,6 +249,8 @@ def test_metrics_reject_labels_outside_the_score_columns():
             topk_accuracy(scores, labels, 1)
         with pytest.raises(ShapeError):
             split_report(scores, labels, split)
+        with pytest.raises(ShapeError):
+            _ranked_split_report(scores, labels, split)
 
 
 # ---------------------------------------------------------------------------
