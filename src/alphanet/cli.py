@@ -150,6 +150,19 @@ def _require_file(path: str | None, flag: str) -> Path:
     return p
 
 
+def _load_pair(dataset: str | None, bank: str | None):
+    """Load `--dataset` and `--bank`; the bank must carry the split that the
+    dataset's train counts give, the one `baseline` would have stored."""
+    ds = load_dataset(_require_file(dataset, "--dataset"))
+    classifiers = load_bank(_require_file(bank, "--bank"))
+    if ds.split() != classifiers.split:
+        raise IntegrityError(
+            f"bank {bank} was not trained on the split of dataset {dataset}: "
+            "their per-class train counts or split labels differ"
+        )
+    return ds, classifiers
+
+
 def _run_config(args) -> RunConfig:
     flag_values = {name: getattr(args, name) for name in RunConfig.field_names()}
     cfg = RunConfig.merged(_load_json_config(args.config), flag_values)
@@ -248,8 +261,7 @@ def cmd_baseline(args) -> None:
 def cmd_train(args) -> None:
     t0 = time.monotonic()
     cfg = _run_config(args)
-    ds = load_dataset(_require_file(cfg.dataset, "--dataset"))
-    bank = load_bank(_require_file(cfg.bank, "--bank"))
+    ds, bank = _load_pair(cfg.dataset, cfg.bank)
 
     def show(entry: dict) -> None:
         few = entry["val"].get("few")
@@ -270,8 +282,7 @@ def cmd_train(args) -> None:
 
 def cmd_eval(args) -> None:
     t0 = time.monotonic()
-    ds = load_dataset(_require_file(args.dataset, "--dataset"))
-    bank = load_bank(_require_file(args.bank, "--bank"))
+    ds, bank = _load_pair(args.dataset, args.bank)
     composed = load_bank(_require_file(args.composed, "--composed"))
     base = list(bank.split.base_ids)
     if composed.split != bank.split or any(
@@ -314,8 +325,7 @@ def cmd_sweep(args) -> None:
     t0 = time.monotonic()
     cfg = _run_config(args)
     values = _parse_grid(args.grid, float if args.axis == "gamma" else int)
-    ds = load_dataset(_require_file(cfg.dataset, "--dataset"))
-    bank = load_bank(_require_file(cfg.bank, "--bank"))
+    ds, bank = _load_pair(cfg.dataset, cfg.bank)
     if args.axis == "gamma":
         rows = gamma_sweep(bank, ds, cfg, values, partition=args.partition)
         x_label = "gamma"

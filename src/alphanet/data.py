@@ -24,11 +24,12 @@ import struct
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .config import check_field_types
+from .config import _has_type, check_field_types
 from .errors import (
     ConfigError,
     FormatError,
@@ -59,12 +60,18 @@ FEW_LT = 20
 # Split assignment
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Per-class split labels plus the train counts they were derived from.
 
     `base` is the union of the many and medium splits; its classifiers are
-    the strong ones. N = B + F always holds by construction.
+    the strong ones. N = B + F always holds by construction. The class id
+    lists and arrays derived from the labels are built once, on first use.
     """
 
     labels: tuple[str, ...]
@@ -79,18 +86,31 @@ class SplitSpec:
         for lab in self.labels:
             if lab not in SPLIT_NAMES:
                 raise IntegrityError(f"unknown split label {lab!r}")
+        if not all(_has_type(c, "int") for c in self.train_counts):
+            raise IntegrityError(f"split counts must be integers, got {list(self.train_counts)!r}")
 
     @property
     def n_classes(self) -> int:
         return len(self.labels)
 
-    @property
+    @cached_property
     def few_ids(self) -> tuple[int, ...]:
         return tuple(i for i, lab in enumerate(self.labels) if lab == FEW)
 
-    @property
+    @cached_property
     def base_ids(self) -> tuple[int, ...]:
         return tuple(i for i, lab in enumerate(self.labels) if lab != FEW)
+
+    @cached_property
+    def few_index(self) -> np.ndarray:
+        """`few_ids` as a read-only integer array, for indexing score columns."""
+        return _read_only(np.array(self.few_ids, dtype=np.intp))
+
+    @cached_property
+    def is_few(self) -> np.ndarray:
+        """Read-only per-class mask, true for few classes: `is_few[labels]`
+        marks the few-class samples."""
+        return _read_only(np.array([lab == FEW for lab in self.labels], dtype=bool))
 
     @property
     def n_few(self) -> int:
@@ -175,7 +195,9 @@ class ClassifierBank:
             raise ShapeError(
                 f"features {features.shape} incompatible with bank dim {self.feature_dim}"
             )
-        return features @ self.weights.T + self.biases
+        out = features @ self.weights.T
+        out += self.biases  # in place: no second score-sized array
+        return out
 
 
 #: A composed bank has the same shape as its source bank: few-class rows hold
@@ -344,8 +366,9 @@ def _read_bundle(path, what: str, shapes):
     the `with` block.
 
     `shapes(manifest)` maps each tensor key to read onto its exact shape. A
-    manifest that is not UTF-8 JSON or lacks a field, a tensor of another
-    shape, and any KeyError, TypeError, ValueError, IntegrityError or
+    manifest that is not UTF-8 JSON or lacks a field, a dimension that is
+    not an integer (3.0 and true are not), a tensor of another shape, and
+    any KeyError, TypeError, ValueError, IntegrityError or
     NumericError that `shapes` or the block raises on the manifest's values
     become an IntegrityError naming `path`. A missing tensor file stays an
     OSError and a corrupt one a FormatError.
@@ -355,6 +378,8 @@ def _read_bundle(path, what: str, shapes):
         manifest = json.loads(path.read_text(encoding="utf-8"))
         tensors = {}
         for key, shape in shapes(manifest).items():
+            if not all(_has_type(dim, "int") for dim in shape):
+                raise IntegrityError(f"{key} tensor shape {shape} needs integer dimensions")
             tensors[key] = read_tensor(path.parent / manifest["tensor_files"][key])
             if tensors[key].shape != shape:
                 raise IntegrityError(

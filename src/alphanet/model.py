@@ -351,15 +351,19 @@ def _alpha_forward(model: AlphaModel):
     return pre, hidden, raw, norm, alpha
 
 
+def _composed_few_rows(model: AlphaModel) -> tuple[np.ndarray, np.ndarray]:
+    """The composed classifiers (F, D) and biases (F,) of the few classes."""
+    return _linear_mix(_alpha_forward(model)[-1], model.full_rows, model.set_biases)
+
+
 def export_composed(model: AlphaModel) -> ComposedBank:
     """Deterministic forward pass for all few classes; base rows copied verbatim."""
     bank = model.bank
     weights = bank.weights.copy()
     biases = bank.biases.copy()
     if model.few_ids:
-        alpha = _alpha_forward(model)[-1]
-        few = list(model.few_ids)
-        weights[few], biases[few] = _linear_mix(alpha, model.full_rows, model.set_biases)
+        few = bank.split.few_index
+        weights[few], biases[few] = _composed_few_rows(model)
     return ComposedBank(
         weights=weights,
         biases=biases,
@@ -373,7 +377,7 @@ def export_composed(model: AlphaModel) -> ComposedBank:
 
 
 def _few_scores_vjp(
-    g_scores: np.ndarray, few: list[int], features: np.ndarray
+    g_scores: np.ndarray, few: np.ndarray, features: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of the few-class score columns, `features @ u.T + t`, with
     respect to u and t, given the gradient of the full score matrix."""
@@ -400,7 +404,7 @@ def loss_and_grads(
     fc1_w, _, fc2_w, _ = model.params
     pre, hidden, raw, norm, alpha = _alpha_forward(model)
     u, t = _linear_mix(alpha, model.full_rows, model.set_biases)
-    few = list(model.few_ids)
+    few = model.bank.split.few_index
     scores = model.bank.scores(features)
     scores[:, few] = features @ u.T + t
     loss, g_scores = mean_softmax_xent(scores, labels)
@@ -439,9 +443,7 @@ def sample_epoch(ds: FeatureDataset, split: SplitSpec, rng: np.random.Generator)
     """All few-class train samples plus an equal number of base samples drawn
     uniformly without replacement, shuffled. Redrawn every epoch."""
     train_idx = ds.indices("train")
-    labels = ds.labels[train_idx]
-    few = set(split.few_ids)
-    is_few = np.isin(labels, list(few))
+    is_few = split.is_few[ds.labels[train_idx]]
     few_idx = train_idx[is_few]
     base_idx = train_idx[~is_few]
     if base_idx.size < few_idx.size:
@@ -480,19 +482,20 @@ def fit(
 
     The learning rate decays by 0.1 every 20 epochs. The per-epoch log
     records mean training loss, the learning rate, and validation top-1/top-5
-    for each split.
+    for each split. A non-finite loss is a TrainingError naming its epoch and
+    batch, and a non-finite few-class validation score one naming its epoch.
     """
-    from .reports import _ranked_split_report
+    from .reports import _FewColumnReport
 
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
     rng = np.random.default_rng(seed)
     split = model.bank.split
-    few_ids = list(model.few_ids)
     val_x, val_y = ds.partition_arrays("val")
-    # Training moves only the few-class classifiers, so the base columns of
-    # the validation scores are computed once and the few columns each epoch.
-    val_scores = model.bank.scores(val_x)
+    # Training moves only the few-class classifiers, so the validation scores
+    # against the frozen bank are computed and ranked once, and each epoch
+    # scores and ranks only the few-class columns.
+    validate = _FewColumnReport(model.bank.scores(val_x), val_y, split)
     params = model.params
     velocities = [np.zeros_like(p) for p in params]
     best_few_top1, best_epoch, best_params = -np.inf, -1, [p.copy() for p in params]
@@ -515,9 +518,11 @@ def fit(
                 if weight_decay:
                     grad = grad + weight_decay * param
                 sgd_momentum_step(param, grad, vel, lr, momentum)
-        u, t = _linear_mix(_alpha_forward(model)[-1], model.full_rows, model.set_biases)
-        val_scores[:, few_ids] = val_x @ u.T + t
-        report = _ranked_split_report(val_scores, val_y, split)
+        u, t = _composed_few_rows(model)
+        try:
+            report = validate(val_x @ u.T + t)
+        except NumericError as exc:
+            raise TrainingError(f"validation failed at epoch {epoch}: {exc}") from exc
         few = report.accuracy("few")
         entry = {
             "epoch": epoch,

@@ -166,11 +166,11 @@ def mean_softmax_xent(scores: np.ndarray, labels) -> tuple[float, np.ndarray]:
     if n and not (0 <= labels.min() and labels.max() < n_classes):
         raise ShapeError(f"mean_softmax_xent: labels must lie in [0, {n_classes})")
     rows = np.arange(n)
-    shifted = scores - np.max(scores, axis=-1, keepdims=True)
+    shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    total = np.sum(e, axis=-1, keepdims=True)
+    total = e.sum(axis=-1, keepdims=True)
     losses = np.log(total[:, 0]) - shifted[rows, labels]
-    if not np.all(np.isfinite(losses)):
+    if not np.isfinite(losses).all():
         bad = int(np.argmax(~np.isfinite(losses)))
         raise NumericError(f"non-finite loss for sample {bad}")
     grad = e / total

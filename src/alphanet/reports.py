@@ -32,14 +32,27 @@ def _check_matrix(scores: np.ndarray) -> np.ndarray:
     return scores
 
 
+def _check_labels(labels: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (shape[0],):
+        raise ShapeError(f"labels {labels.shape} do not match scores {shape}")
+    if labels.size and not (0 <= labels.min() and labels.max() < shape[1]):
+        raise ShapeError(f"labels must lie in [0, {shape[1]}) to index the score columns")
+    return labels
+
+
 def _check_scores(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scores = _check_matrix(scores)
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (scores.shape[0],):
-        raise ShapeError(f"labels {labels.shape} do not match scores {scores.shape}")
-    if labels.size and not (0 <= labels.min() and labels.max() < scores.shape[1]):
-        raise ShapeError(f"labels must lie in [0, {scores.shape[1]}) to index the score columns")
-    return scores, labels
+    return scores, _check_labels(labels, scores.shape)
+
+
+def _count_ahead(scores: np.ndarray, label_scores: np.ndarray, lower_id: np.ndarray) -> np.ndarray:
+    """Per row, the columns that rank ahead of the row's label score: a
+    strictly higher score, or an equal one where `lower_id` marks the
+    column's class id as lower than the label."""
+    ahead = scores > label_scores[:, None]
+    ahead |= (scores == label_scores[:, None]) & lower_id
+    return np.count_nonzero(ahead, axis=1)
 
 
 def _label_ranks(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -47,12 +60,11 @@ def _label_ranks(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
     Nothing is sorted. A label's rank is the number of classes that score
     strictly higher plus those that score equal with a lower class id, which
-    is its position in a stable sort by descending score.
+    is its position in a stable sort by descending score. Counts over
+    disjoint column sets add up to the count over their union.
     """
-    label_scores = np.take_along_axis(scores, labels[:, None], axis=1)
-    lower_id = np.arange(scores.shape[1]) < labels[:, None]
-    ahead = (scores > label_scores) | ((scores == label_scores) & lower_id)
-    return np.count_nonzero(ahead, axis=1)
+    label_scores = np.take_along_axis(scores, labels[:, None], axis=1)[:, 0]
+    return _count_ahead(scores, label_scores, np.arange(scores.shape[1]) < labels[:, None])
 
 
 def topk_accuracy(scores: np.ndarray, labels: np.ndarray, k: int) -> float:
@@ -118,19 +130,69 @@ def split_report(scores: np.ndarray, labels: np.ndarray, split) -> SplitReport:
     return SplitReport(per_split=per_split)
 
 
-def _ranked_split_report(scores: np.ndarray, labels: np.ndarray, split) -> SplitReport:
-    """`split_report` read off one rank per label: the same accuracies, bit
-    for bit, from one ranking of the whole matrix instead of eight."""
-    scores, labels = _check_scores(scores, labels)
-    k5 = min(5, scores.shape[1])
-    ranks = _label_ranks(scores, labels)
-    per_split: dict[str, SplitAccuracy] = {}
-    for name, mask in _split_masks(labels, split):
-        r = ranks if mask is None else ranks[mask]
-        per_split[name] = SplitAccuracy(
-            top1=float(np.mean(r < 1)), top5=float(np.mean(r < k5)), n=r.size
+class _FewColumnReport:
+    """`split_report` of a validation score matrix whose base-class columns
+    stay fixed while its few-class columns move, as in training.
+
+    Built once from the scores against the frozen bank (their few-class
+    columns are not read): the base columns are checked for NaN, and every
+    base-labelled row keeps its label score and its rank among the base
+    columns. Each call takes the few-class block, (n, F) in `few_ids` order,
+    checks that it is finite, adds each base-labelled row's count of few
+    columns ahead of its label to that stored rank, and ranks only the
+    few-labelled rows against their full row. Ranks are integer counts, so
+    the report equals `split_report` on the assembled matrix bit for bit.
+    """
+
+    def __init__(self, scores: np.ndarray, labels: np.ndarray, split):
+        scores = np.asarray(scores, dtype=np.float64)
+        labels = _check_labels(labels, scores.shape)
+        base = np.array(split.base_ids, dtype=np.intp)
+        few = split.few_index
+        base_scores = _check_matrix(scores[:, base])
+        # Column of each class within its own block, base or few.
+        column = np.empty(scores.shape[1], dtype=np.intp)
+        column[base], column[few] = np.arange(base.size), np.arange(few.size)
+        is_few = split.is_few[labels]
+        self.base_rows, self.few_rows = np.flatnonzero(~is_few), np.flatnonzero(is_few)
+        y_base, y_few = labels[self.base_rows], labels[self.few_rows]
+
+        self.label_scores = np.empty(labels.size)
+        self.label_scores[self.base_rows] = base_scores[self.base_rows, column[y_base]]
+        self.base_ranks = _count_ahead(
+            base_scores[self.base_rows], self.label_scores[self.base_rows], base < y_base[:, None]
         )
-    return SplitReport(per_split=per_split)
+        self.few_label_column = column[y_few]
+        self.few_row_scores = base_scores[self.few_rows]
+        self.few_row_lower_base = base < y_few[:, None]
+        self.lower_few = few < labels[:, None]
+        self.splits = _split_masks(labels, split)
+        self.k5 = min(5, scores.shape[1])
+
+    def __call__(self, few_scores: np.ndarray) -> SplitReport:
+        few_scores = np.asarray(few_scores, dtype=np.float64)
+        if few_scores.shape != self.lower_few.shape:
+            raise ShapeError(
+                f"few-class scores {few_scores.shape}, expected {self.lower_few.shape}"
+            )
+        if not np.isfinite(few_scores).all():
+            raise NumericError("few-class validation scores are not finite")
+        label_scores = self.label_scores.copy()
+        label_scores[self.few_rows] = few_scores[self.few_rows, self.few_label_column]
+        ranks = _count_ahead(few_scores, label_scores, self.lower_few)
+        ranks[self.base_rows] += self.base_ranks
+        ranks[self.few_rows] += _count_ahead(
+            self.few_row_scores, label_scores[self.few_rows], self.few_row_lower_base
+        )
+        per_split = {}
+        for name, mask in self.splits:
+            r = ranks if mask is None else ranks[mask]
+            per_split[name] = SplitAccuracy(
+                top1=np.count_nonzero(r < 1) / r.size,
+                top5=np.count_nonzero(r < self.k5) / r.size,
+                n=r.size,
+            )
+        return SplitReport(per_split=per_split)
 
 
 # ---------------------------------------------------------------------------

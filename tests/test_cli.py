@@ -15,6 +15,7 @@ import pytest
 
 from alphanet.cli import _gen_config, _parse_grid, _run_config, build_parser, main
 from alphanet.config import RunConfig
+from alphanet.data import load_bank, load_dataset, save_dataset
 from alphanet.datagen import GenConfig
 from alphanet.errors import ConfigError
 
@@ -503,6 +504,29 @@ def test_exit_2_for_a_malformed_manifest(pipeline, tmp_path, capsys, kind, case)
     assert not out.exists()
 
 
+def test_exit_2_for_a_bank_from_another_split(pipeline, tmp_path, capsys):
+    """The fixture's dataset regenerated with `--few-lt 40` has more few
+    classes than the fixture's bank: train, eval and sweep refuse the pair."""
+    data = tmp_path / "data"
+    assert main([
+        "datagen", "--out-dir", str(data), "--n-classes", "12",
+        "--feature-dim", "6", "--head-count", "80", "--tail-count", "4",
+        "--val-per-class", "8", "--test-per-class", "8", "--seed", "1", "--few-lt", "40",
+    ]) == 0
+    dataset, bank = str(data / "dataset.json"), str(pipeline["base"] / "bank.json")
+    run = ["--dataset", dataset, "--bank", bank, "--out-dir", str(tmp_path / "out")]
+    for argv in (
+        ["train", *run, "--epochs", "1"],
+        ["eval", *run, "--composed", str(pipeline["run"] / "composed.json")],
+        ["sweep", *run, "--epochs", "1", "--axis", "gamma", "--grid", "0.5"],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "split" in err and dataset in err and bank in err
+        assert not (tmp_path / "out").exists()
+
+
 def test_exit_2_for_eval_against_another_baseline(pipeline, tmp_path, capsys):
     dataset = str(pipeline["data"] / "dataset.json")
     assert main([
@@ -533,7 +557,41 @@ def test_exit_3_for_a_nan_few_class_validation_score(pipeline, tmp_path, capsys)
             "--lr0", "1e300", "--batch-size", "1000",
         ])
     assert rc == 3
-    assert capsys.readouterr().err == "error: scores contain NaN\n"
+    assert capsys.readouterr().err == (
+        "error: validation failed at epoch 0: few-class validation scores are not finite\n"
+    )
+    assert not tmp_path.joinpath("model.json").exists()
+
+
+def test_exit_3_for_an_infinite_few_class_validation_score(pipeline, tmp_path, capsys):
+    """A validation row whose one nonzero coordinate is the largest float
+    overflows a few-class score to +-inf and makes no NaN; validation still
+    refuses it and names the epoch."""
+    data, base = pipeline["data"], pipeline["base"]
+    argv = ["train", "--bank", str(base / "bank.json"), "--epochs", "1", "--top-k", "2",
+            "--reduced-dim", "4", "--seed", "3"]
+    first = tmp_path / "first"
+    assert main([*argv, "--dataset", str(data / "dataset.json"), "--out-dir", str(first)]) == 0
+    # One epoch: the composed rows are those the epoch-0 validation scores.
+    composed = load_bank(first / "composed.json")
+    few_rows = composed.weights[list(composed.split.few_ids)]
+    column = int(np.argmax(np.abs(few_rows).max(axis=0)))
+    assert np.abs(few_rows[:, column]).max() > 1.0
+    ds = load_dataset(data / "dataset.json")
+    row = ds.indices("val")[0]
+    ds.features[row] = 0.0
+    ds.features[row, column] = np.finfo(np.float64).max
+    (tmp_path / "huge").mkdir()
+    save_dataset(tmp_path / "huge" / "dataset.json", ds)
+    capsys.readouterr()
+    with np.errstate(over="ignore"):
+        rc = main([*argv, "--dataset", str(tmp_path / "huge" / "dataset.json"),
+                   "--out-dir", str(tmp_path / "out")])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "error: validation failed at epoch 0: few-class validation scores are not finite\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_3_for_diverged_training(pipeline, tmp_path, capsys):

@@ -70,6 +70,19 @@ def test_splitspec_rejects_inconsistent_fields():
         SplitSpec(labels=("many",), train_counts=(5, 6))
     with pytest.raises(IntegrityError):
         SplitSpec(labels=("huge",), train_counts=(5,))
+    for count in ("150", 50.5, True, 5.0):
+        with pytest.raises(IntegrityError, match="integers"):
+            SplitSpec(labels=("many",), train_counts=(count,))
+
+
+def test_splitspec_few_index_and_mask_are_built_once_and_read_only():
+    split = assign_splits([150, 5, 50, 3])
+    assert split.few_index.tolist() == [1, 3]
+    assert split.is_few.tolist() == [False, True, False, True]
+    assert split.few_index is split.few_index and split.is_few is split.is_few
+    with pytest.raises(ValueError):
+        split.is_few[0] = True
+    assert split == assign_splits([150, 5, 50, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +252,14 @@ def test_bank_rejects_nonfinite_on_load(tmp_path):
     write_tensor(tmp_path / "bank_weights.alft", bad)
     with pytest.raises(IntegrityError):
         load_bank(path)
+
+
+@pytest.mark.parametrize("n_rows, d", [(1, 16), (7, 16), (1, 64), (33, 64)])
+def test_bank_scores_are_the_biased_product_byte_for_byte(n_rows, d):
+    rng = np.random.default_rng(d + n_rows)
+    bank = _random_bank(rng, d=d)
+    features = rng.normal(size=(n_rows, d))
+    assert bank.scores(features).tobytes() == (features @ bank.weights.T + bank.biases).tobytes()
 
 
 def test_bank_scores_shape_check():
@@ -423,6 +444,23 @@ _MALFORMED = {
     ("bank", "count_not_a_number"): lambda path, m: _write_json(path, m | {"n_classes": "fifty"}),
     ("bank", "splits_not_iterable"): lambda path, m: _write_json(path, m | {"splits": 5}),
     ("bank", "transposed_tensor"): _transposed("weights"),
+    # A float that equals an integer is still not one: 6.0 classes, "150" samples.
+    ("bank", "float_class_count"): lambda path, m: _write_json(
+        path, m | {"n_classes": float(m["n_classes"])}
+    ),
+    ("bank", "train_count_as_string"): lambda path, m: _write_json(
+        path, m | {"counts": ["150", *m["counts"][1:]]}
+    ),
+    ("bank", "fractional_train_count"): lambda path, m: _write_json(
+        path, m | {"counts": [50.5, *m["counts"][1:]]}
+    ),
+    ("bank", "bool_train_count"): lambda path, m: _write_json(
+        path, m | {"counts": [True, *m["counts"][1:]]}
+    ),
+    ("dataset", "float_sample_count"): lambda path, m: _write_json(
+        path, m | {"n_samples": float(m["n_samples"])}
+    ),
+    ("model", "float_few_count"): lambda path, m: _write_json(path, m | {"n_few": 2.0}),
     ("dataset", "count_not_a_number"): lambda path, m: _write_json(path, m | {"n_samples": "many"}),
     ("dataset", "transposed_tensor"): _transposed("features"),
     ("model", "count_not_a_number"): lambda path, m: _write_json(path, m | {"top_k": "two"}),

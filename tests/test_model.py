@@ -22,6 +22,7 @@ from alphanet.errors import (
 from alphanet.model import (
     AlphaModel,
     AlphaVector,
+    _composed_few_rows,
     alpha_pipeline,
     build_model,
     clamp_alpha,
@@ -249,10 +250,10 @@ def test_submodule_forward_matches_primitive_replay():
 # Full-model fixtures
 
 
-def _small_problem(seed=0, **gen_kwargs):
-    """8 classes at dim 6; classes 6 and 7 are few."""
+def _small_problem(seed=0, feature_dim=6, **gen_kwargs):
+    """8 classes at dim 6 unless told otherwise; classes 6 and 7 are few."""
     cfg = GenConfig(
-        n_classes=8, feature_dim=6, head_count=120, tail_count=4,
+        n_classes=8, feature_dim=feature_dim, head_count=120, tail_count=4,
         val_per_class=6, test_per_class=6, seed=seed, **gen_kwargs,
     )
     ds, split, _ = generate(cfg)
@@ -601,6 +602,28 @@ def test_fit_validates_each_epoch_as_the_exported_bank_scores(gamma, top_k):
         seen.append(entry["epoch"])
 
     fit(model, ds, epochs=4, seed=1, on_epoch=check)
+    assert seen == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("feature_dim", [6, 40])
+def test_fit_validates_each_epoch_as_split_report_of_the_assembled_scores(feature_dim):
+    """Each log entry is `split_report` of the frozen bank's validation scores
+    with the few-class columns replaced by the epoch's composed rows, also at
+    dims where that block is not bit-equal to the full product's columns."""
+    ds, bank = _small_problem(seed=2, feature_dim=feature_dim)
+    model = build_model(bank, ds, gamma=0.5, top_k=3, reduced_dim=3, seed=2)
+    x, y = ds.partition_arrays("val")
+    few = list(bank.split.few_ids)
+    seen = []
+
+    def check(entry):
+        scores = bank.scores(x)
+        u, t = _composed_few_rows(model)
+        scores[:, few] = x @ u.T + t
+        assert entry["val"] == split_report(scores, y, bank.split).to_dict()
+        seen.append(entry["epoch"])
+
+    fit(model, ds, epochs=4, seed=2, on_epoch=check)
     assert seen == [0, 1, 2, 3]
 
 

@@ -20,7 +20,7 @@ from alphanet.reports import (
     SplitAccuracy,
     SplitReport,
     SweepRow,
-    _ranked_split_report,
+    _FewColumnReport,
     classwise_report,
     gamma_sweep,
     line_chart,
@@ -216,7 +216,6 @@ def test_label_rank_metrics_match_the_stable_argsort_reference(batch):
     scores, labels, split = batch
     reference = _argsort_split_report(scores, labels, split)
     assert split_report(scores, labels, split).to_dict() == reference
-    assert _ranked_split_report(scores, labels, split).to_dict() == reference
     for k in range(1, scores.shape[1] + 1) if labels.size else ():
         assert topk_accuracy(scores, labels, k) == _argsort_topk(scores, labels, k)
     assert np.array_equal(
@@ -234,8 +233,6 @@ def test_metrics_reject_nan_scores():
     with pytest.raises(NumericError):
         split_report(scores, labels, split)
     with pytest.raises(NumericError):
-        _ranked_split_report(scores, labels, split)
-    with pytest.raises(NumericError):
         top1_predictions(scores)
     with pytest.raises(NumericError):
         classwise_report(np.zeros((3, 3)), scores, labels, {2: 1.0})
@@ -250,7 +247,63 @@ def test_metrics_reject_labels_outside_the_score_columns():
         with pytest.raises(ShapeError):
             split_report(scores, labels, split)
         with pytest.raises(ShapeError):
-            _ranked_split_report(scores, labels, split)
+            _FewColumnReport(scores, labels, split)
+
+
+# ---------------------------------------------------------------------------
+# The per-epoch validation report: fixed base columns, moving few columns
+
+
+@st.composite
+def _few_column_batches(draw):
+    """Integer-valued scores, so that ties are common, for a random split
+    (possibly without few classes or without some split), random labels or
+    only few-class labels, and two successive few-class blocks."""
+    n_classes = draw(st.integers(1, 7))
+    n = draw(st.integers(0, 12))
+    counts = draw(st.lists(st.sampled_from([150, 50, 5]), min_size=n_classes, max_size=n_classes))
+    split = assign_splits(counts)
+    # The base columns may hold infinities; the few block must be finite.
+    base_values = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, np.inf, -np.inf])
+    few_values = st.integers(-2, 2).map(float)
+    scores = np.array(draw(st.lists(base_values, min_size=n * n_classes, max_size=n * n_classes)))
+    scores = scores.reshape(n, n_classes)
+    # The report never reads the few columns of the matrix it is built from.
+    scores[:, split.few_index] = np.nan
+    classes = split.few_ids if split.few_ids and draw(st.booleans()) else range(n_classes)
+    labels = np.array(draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n)), dtype=int)
+    size = n * split.n_few
+    blocks = [
+        np.array(draw(st.lists(few_values, min_size=size, max_size=size))).reshape(n, split.n_few)
+        for _ in range(2)
+    ]
+    return scores, blocks, labels, split
+
+
+@given(_few_column_batches())
+def test_few_column_report_is_split_report_of_the_assembled_matrix(batch):
+    scores, blocks, labels, split = batch
+    report = _FewColumnReport(scores, labels, split)
+    for few_block in blocks:
+        assembled = scores.copy()
+        assembled[:, split.few_index] = few_block
+        assert report(few_block).to_dict() == split_report(assembled, labels, split).to_dict()
+
+
+def test_few_column_report_rejects_nan_base_and_nonfinite_few_scores():
+    split = assign_splits([150, 50, 5])
+    labels = np.array([0, 1, 2])
+    scores = np.zeros((3, 3))
+    scores[1, 2] = np.nan  # a few column: not read
+    report = _FewColumnReport(scores, labels, split)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NumericError, match="not finite"):
+            report(np.array([[0.0], [bad], [0.0]]))
+    with pytest.raises(ShapeError):
+        report(np.zeros((3, 2)))
+    scores[1, 1] = np.nan
+    with pytest.raises(NumericError):
+        _FewColumnReport(scores, labels, split)
 
 
 # ---------------------------------------------------------------------------
