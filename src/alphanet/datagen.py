@@ -194,7 +194,9 @@ def train_baseline(
 
     Training on the imbalanced joint distribution leaves the few-class rows
     under-fit on purpose. The bank carries the dataset's own split.
-    Deterministic given the seed.
+    Deterministic given the seed. A step that leaves some sample's label
+    probability 0 or NaN (an infinite loss) is a TrainingError naming the
+    epoch and the batch of the first such sample, raised at the epoch's end.
     """
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
@@ -204,8 +206,8 @@ def train_baseline(
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if not 0.0 <= momentum < 1.0:
         raise ConfigError(f"momentum must be in [0, 1), got {momentum}")
-    train_x, train_y = ds.partition_arrays("train")
-    if train_x.shape[0] == 0:
+    train_idx = ds.indices("train")
+    if train_idx.size == 0:
         raise ConfigError("train partition is empty")
     split = ds.split()
 
@@ -215,25 +217,40 @@ def train_baseline(
     biases = np.zeros(n)
     vel_w = np.zeros_like(weights)
     vel_b = np.zeros_like(biases)
-    n_train = train_x.shape[0]
+    n_train = train_idx.size
+    # Each epoch's shuffled train partition is gathered into these buffers
+    # once, and every batch is a view of them.
+    epoch_x, epoch_y = np.empty((n_train, d)), np.empty(n_train, dtype=np.int64)
+    # The softmax probability of each sample's label: -log of it is the
+    # sample's loss, so an entry that is 0 or NaN marks a diverged step.
+    label_probs = np.empty(n_train)
+    rows = np.arange(min(batch_size, n_train))
 
-    for epoch in range(epochs):
-        order = rng.permutation(n_train)
-        epoch_loss = 0.0
-        for start in range(0, n_train, batch_size):
-            idx = order[start : start + batch_size]
-            x, y = train_x[idx], train_y[idx]
-            probs = softmax(x @ weights.T + biases)
-            picked = probs[np.arange(len(idx)), y]
-            # Kept as -log(softmax): at a diverging lr it is inf, the divergence signal.
-            epoch_loss += float(-np.log(picked).sum())
-            g = probs
-            g[np.arange(len(idx)), y] -= 1.0
-            g /= len(idx)
-            sgd_momentum_step(weights, g.T @ x, vel_w, lr, momentum)
-            sgd_momentum_step(biases, g.sum(axis=0), vel_b, lr, momentum)
-        if not np.isfinite(epoch_loss):
-            raise TrainingError(f"baseline training diverged at epoch {epoch}")
+    # A diverging step overflows to inf or NaN, which the check after each
+    # epoch reports as a TrainingError; numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            order = train_idx[rng.permutation(n_train)]
+            np.take(ds.features, order, axis=0, out=epoch_x)
+            np.take(ds.labels, order, out=epoch_y)
+            for start in range(0, n_train, batch_size):
+                x, y = epoch_x[start : start + batch_size], epoch_y[start : start + batch_size]
+                r = rows[: y.size]
+                scores = x @ weights.T
+                scores += biases
+                g = softmax(scores)
+                label_probs[start : start + y.size] = g[r, y]
+                g[r, y] -= 1.0
+                g /= y.size
+                sgd_momentum_step(weights, g.T @ x, vel_w, lr, momentum)
+                sgd_momentum_step(biases, g.sum(axis=0), vel_b, lr, momentum)
+            # -log(p) is finite for 0 < p <= 1 and at most ~745 at the
+            # smallest positive p, so "every p > 0" is "the epoch's summed
+            # loss is finite".
+            diverged = ~(label_probs > 0.0)
+            if diverged.any():
+                batch = int(np.argmax(diverged)) // batch_size
+                raise TrainingError(f"baseline training diverged at epoch {epoch}, batch {batch}")
 
     return ClassifierBank(
         weights=weights,

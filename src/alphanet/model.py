@@ -439,10 +439,21 @@ def set_params(model: AlphaModel, flat: np.ndarray) -> None:
 # Training
 
 
-def sample_epoch(ds: FeatureDataset, split: SplitSpec, rng: np.random.Generator) -> np.ndarray:
+def sample_epoch(
+    ds: FeatureDataset,
+    split: SplitSpec,
+    rng: np.random.Generator,
+    *,
+    train_idx: np.ndarray | None = None,
+) -> np.ndarray:
     """All few-class train samples plus an equal number of base samples drawn
-    uniformly without replacement, shuffled. Redrawn every epoch."""
-    train_idx = ds.indices("train")
+    uniformly without replacement, shuffled. Redrawn every epoch.
+
+    `train_idx` is `ds.indices("train")` when the caller already holds it, as
+    `fit` does: it is the same every epoch.
+    """
+    if train_idx is None:
+        train_idx = ds.indices("train")
     is_few = split.is_few[ds.labels[train_idx]]
     few_idx = train_idx[is_few]
     base_idx = train_idx[~is_few]
@@ -496,45 +507,50 @@ def fit(
     # against the frozen bank are computed and ranked once, and each epoch
     # scores and ranks only the few-class columns.
     validate = _FewColumnReport(model.bank.scores(val_x), val_y, split)
+    train_idx = ds.indices("train")
     params = model.params
     velocities = [np.zeros_like(p) for p in params]
     best_few_top1, best_epoch, best_params = -np.inf, -1, [p.copy() for p in params]
     log: list[dict] = []
 
-    for epoch in range(epochs):
-        lr = lr0 * 0.1 ** (epoch // 20)
-        order = sample_epoch(ds, split, rng)
-        loss_sum = 0.0
-        for batch_index, start in enumerate(range(0, order.size, batch_size)):
-            batch = order[start : start + batch_size]
+    # A diverging step overflows to inf or NaN, which the loss and validation
+    # checks report as a TrainingError; numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            lr = lr0 * 0.1 ** (epoch // 20)
+            order = sample_epoch(ds, split, rng, train_idx=train_idx)
+            loss_sum = 0.0
+            for batch_index, start in enumerate(range(0, order.size, batch_size)):
+                batch = order[start : start + batch_size]
+                try:
+                    loss, grads = loss_and_grads(model, ds.features[batch], ds.labels[batch])
+                except NumericError as exc:
+                    raise TrainingError(
+                        f"training failed at epoch {epoch}, batch {batch_index}: {exc}"
+                    ) from exc
+                loss_sum += loss * batch.size
+                for param, grad, vel in zip(params, grads, velocities):
+                    if weight_decay:
+                        grad = grad + weight_decay * param
+                    sgd_momentum_step(param, grad, vel, lr, momentum)
+            u, t = _composed_few_rows(model)
             try:
-                loss, grads = loss_and_grads(model, ds.features[batch], ds.labels[batch])
+                report = validate(val_x @ u.T + t)
             except NumericError as exc:
-                raise TrainingError(
-                    f"training failed at epoch {epoch}, batch {batch_index}: {exc}"
-                ) from exc
-            loss_sum += loss * batch.size
-            for param, grad, vel in zip(params, grads, velocities):
-                if weight_decay:
-                    grad = grad + weight_decay * param
-                sgd_momentum_step(param, grad, vel, lr, momentum)
-        u, t = _composed_few_rows(model)
-        try:
-            report = validate(val_x @ u.T + t)
-        except NumericError as exc:
-            raise TrainingError(f"validation failed at epoch {epoch}: {exc}") from exc
-        few = report.accuracy("few")
-        entry = {
-            "epoch": epoch,
-            "loss": loss_sum / order.size,
-            "lr": lr,
-            "val": report.to_dict(),
-        }
-        log.append(entry)
-        if on_epoch is not None:
-            on_epoch(entry)
-        if few is not None and few.top1 > best_few_top1:
-            best_few_top1, best_epoch, best_params = few.top1, epoch, [p.copy() for p in params]
+                raise TrainingError(f"validation failed at epoch {epoch}: {exc}") from exc
+            few = report.accuracy("few")
+            entry = {
+                "epoch": epoch,
+                "loss": loss_sum / order.size,
+                "lr": lr,
+                "val": report.to_dict(),
+            }
+            log.append(entry)
+            if on_epoch is not None:
+                on_epoch(entry)
+            if few is not None and few.top1 > best_few_top1:
+                best_few_top1, best_epoch = few.top1, epoch
+                best_params = [p.copy() for p in params]
 
     return FitResult(
         model=replace(model, params=best_params),

@@ -144,9 +144,11 @@ def cap_floor_clamp_vjp(v: np.ndarray, out: np.ndarray, g: np.ndarray) -> np.nda
 def softmax(scores: np.ndarray) -> np.ndarray:
     """Numerically stable softmax along the last axis (max-subtraction)."""
     scores = np.asarray(scores, dtype=np.float64)
-    shifted = scores - np.max(scores, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    # One temporary: shifted, exponentiated and normalised in place.
+    out = scores - scores.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def mean_softmax_xent(scores: np.ndarray, labels) -> tuple[float, np.ndarray]:
@@ -166,16 +168,20 @@ def mean_softmax_xent(scores: np.ndarray, labels) -> tuple[float, np.ndarray]:
     if n and not (0 <= labels.min() and labels.max() < n_classes):
         raise ShapeError(f"mean_softmax_xent: labels must lie in [0, {n_classes})")
     rows = np.arange(n)
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    total = e.sum(axis=-1, keepdims=True)
-    losses = np.log(total[:, 0]) - shifted[rows, labels]
+    # One temporary becomes the shifted scores, their exponentials and then
+    # the gradient, so the label's shifted score is read before `exp`.
+    grad = scores - scores.max(axis=-1, keepdims=True)
+    label_shifted = grad[rows, labels]
+    np.exp(grad, out=grad)
+    total = grad.sum(axis=-1, keepdims=True)
+    losses = np.log(total[:, 0]) - label_shifted
     if not np.isfinite(losses).all():
         bad = int(np.argmax(~np.isfinite(losses)))
         raise NumericError(f"non-finite loss for sample {bad}")
-    grad = e / total
+    grad /= total
     grad[rows, labels] -= 1.0
-    return float(losses.mean()), (1.0 / n) * grad
+    grad *= 1.0 / n
+    return float(losses.mean()), grad
 
 
 def sgd_momentum_step(

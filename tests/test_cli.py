@@ -550,12 +550,11 @@ def test_exit_3_for_a_nan_few_class_validation_score(pipeline, tmp_path, capsys)
     its validation meets NaN in the few-class columns, not in the cached
     base columns."""
     data, base = pipeline["data"], pipeline["base"]
-    with np.errstate(all="ignore"):
-        rc = main([
-            "train", "--dataset", str(data / "dataset.json"), "--bank", str(base / "bank.json"),
-            "--out-dir", str(tmp_path), "--epochs", "2", "--top-k", "2", "--reduced-dim", "4",
-            "--lr0", "1e300", "--batch-size", "1000",
-        ])
+    rc = main([
+        "train", "--dataset", str(data / "dataset.json"), "--bank", str(base / "bank.json"),
+        "--out-dir", str(tmp_path), "--epochs", "2", "--top-k", "2", "--reduced-dim", "4",
+        "--lr0", "1e300", "--batch-size", "1000",
+    ])
     assert rc == 3
     assert capsys.readouterr().err == (
         "error: validation failed at epoch 0: few-class validation scores are not finite\n"
@@ -595,10 +594,11 @@ def test_exit_3_for_an_infinite_few_class_validation_score(pipeline, tmp_path, c
 
 
 def test_exit_3_for_diverged_training(pipeline, tmp_path, capsys):
-    with np.errstate(divide="ignore"):
-        rc = main([
-            "baseline", "--dataset", str(pipeline["data"] / "dataset.json"),
-            "--out-dir", str(tmp_path), "--lr", "1e18",
-        ])
+    """Without an errstate here, any numpy warning would fail the test: the
+    error line is all that reaches stderr."""
+    rc = main([
+        "baseline", "--dataset", str(pipeline["data"] / "dataset.json"),
+        "--out-dir", str(tmp_path), "--lr", "1e18",
+    ])
     assert rc == 3
-    assert "diverged" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: baseline training diverged at epoch 0, batch 1\n"

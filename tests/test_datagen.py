@@ -184,11 +184,76 @@ def test_baseline_is_deterministic():
     assert "seed 7" in b1.provenance
 
 
+def _reference_train_baseline(ds, epochs=60, lr=0.5, seed=0, batch_size=64, momentum=0.9):
+    """The per-batch-gather `train_baseline` body that the epoch-buffer loop
+    replaced, with its out-of-place softmax and per-batch -log divergence
+    signal; returns (weights, biases)."""
+    train_x, train_y = ds.partition_arrays("train")
+    rng = np.random.default_rng(seed)
+    n, d = ds.n_classes, ds.feature_dim
+    weights = np.zeros((n, d))
+    biases = np.zeros(n)
+    vel_w = np.zeros_like(weights)
+    vel_b = np.zeros_like(biases)
+    n_train = train_x.shape[0]
+    for epoch in range(epochs):
+        order = rng.permutation(n_train)
+        epoch_loss = 0.0
+        for start in range(0, n_train, batch_size):
+            idx = order[start : start + batch_size]
+            x, y = train_x[idx], train_y[idx]
+            scores = x @ weights.T + biases
+            shifted = scores - np.max(scores, axis=-1, keepdims=True)
+            e = np.exp(shifted)
+            probs = e / np.sum(e, axis=-1, keepdims=True)
+            picked = probs[np.arange(len(idx)), y]
+            epoch_loss += float(-np.log(picked).sum())
+            g = probs
+            g[np.arange(len(idx)), y] -= 1.0
+            g /= len(idx)
+            vel_w *= momentum
+            vel_w += g.T @ x
+            weights -= lr * vel_w
+            vel_b *= momentum
+            vel_b += g.sum(axis=0)
+            biases -= lr * vel_b
+        if not np.isfinite(epoch_loss):
+            raise TrainingError(f"baseline training diverged at epoch {epoch}")
+    return weights, biases
+
+
+@pytest.mark.parametrize(
+    "cfg, epochs",
+    [
+        (GenConfig(), 60),  # 4,022 train samples: 62 full batches and one of 54
+        (GenConfig(n_classes=12, head_count=80, tail_count=4, seed=2), 20),
+        (GenConfig(feature_dim=64, seed=5), 6),
+    ],
+    ids=["default", "small", "dim64"],
+)
+def test_baseline_bank_is_byte_identical_to_the_reference(cfg, epochs):
+    ds, _, _ = generate(cfg)
+    n_train = ds.indices("train").size
+    assert n_train % 64 != 0  # the last batch of each epoch is partial
+    bank = train_baseline(ds, epochs=epochs, seed=3)
+    weights, biases = _reference_train_baseline(ds, epochs=epochs, seed=3)
+    assert bank.weights.tobytes() == weights.tobytes()
+    assert bank.biases.tobytes() == biases.tobytes()
+
+
 def test_baseline_divergence_reports_epoch():
+    """The epoch is the one whose summed -log loss the reference finds
+    infinite; the batch is the first in it with a zero label probability.
+    At lr 1e308 the weights overflow within the epoch: no numpy warning
+    escapes (the test session turns one into an error)."""
     ds, _, _ = generate(GenConfig(n_classes=10, head_count=120, tail_count=4, seed=4))
-    with pytest.raises(TrainingError) as exc, np.errstate(divide="ignore"):
-        train_baseline(ds, epochs=2, lr=1e18, seed=0)
-    assert "epoch" in str(exc.value)
+    for lr, batch_size, epoch, batch in [(1e18, 64, 0, 1), (20.0, 16, 1, 10), (1e308, 64, 0, 1)]:
+        with pytest.raises(TrainingError) as exc:
+            train_baseline(ds, epochs=3, lr=lr, seed=0, batch_size=batch_size)
+        assert str(exc.value) == f"baseline training diverged at epoch {epoch}, batch {batch}"
+        with pytest.raises(TrainingError) as ref, np.errstate(all="ignore"):
+            _reference_train_baseline(ds, epochs=3, lr=lr, seed=0, batch_size=batch_size)
+        assert str(ref.value) == f"baseline training diverged at epoch {epoch}"
 
 
 def test_baseline_bank_carries_the_dataset_split():

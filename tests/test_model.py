@@ -519,6 +519,10 @@ def test_sample_epoch_redraws_base_but_reproducibly():
     rng2 = np.random.default_rng(42)
     assert np.array_equal(first, sample_epoch(ds, split, rng2))
     assert np.array_equal(second, sample_epoch(ds, split, rng2))
+    # `fit` passes the train indices it built once; the draws are the same.
+    rng3, train_idx = np.random.default_rng(42), ds.indices("train")
+    assert np.array_equal(first, sample_epoch(ds, split, rng3, train_idx=train_idx))
+    assert np.array_equal(second, sample_epoch(ds, split, rng3, train_idx=train_idx))
 
 
 def test_sample_epoch_requires_enough_base_samples():

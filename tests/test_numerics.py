@@ -32,6 +32,7 @@ from alphanet.numerics import (
     leaky_relu_vjp,
     mean_softmax_xent,
     sgd_momentum_step,
+    softmax,
 )
 
 
@@ -136,6 +137,58 @@ def test_softmax_xent_loss_nonnegative_grad_sums_to_zero(seed, n):
     loss, grad = _row_xent(scores, label)
     assert loss >= 0.0
     assert abs(grad.sum()) < 1e-12
+
+
+def _reference_softmax(scores):
+    """The out-of-place softmax body that `softmax` replaced."""
+    scores = np.asarray(scores, dtype=np.float64)
+    shifted = scores - np.max(scores, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def _reference_mean_softmax_xent(scores, labels):
+    """The out-of-place `mean_softmax_xent` body, its shape checks aside."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    n = scores.shape[0]
+    rows = np.arange(n)
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
+    losses = np.log(total[:, 0]) - shifted[rows, labels]
+    grad = e / total
+    grad[rows, labels] -= 1.0
+    return float(losses.mean()), (1.0 / n) * grad
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**31),
+    n=st.integers(1, 70),
+    n_classes=st.integers(1, 60),
+    scale=st.floats(0.1, 100.0),
+    edge=st.sampled_from(["random", "first", "last", "both"]),
+)
+def test_in_place_softmax_and_xent_match_the_reference_bits(seed, n, n_classes, scale, edge):
+    """`softmax` and `mean_softmax_xent` work in one temporary of their own;
+    their bits equal the out-of-place bodies, and the input is left as it was."""
+    rng = np.random.default_rng(seed)
+    scores = rng.normal(scale=scale, size=(n, n_classes))
+    labels = rng.integers(n_classes, size=n)
+    if edge in ("first", "both"):
+        labels[0] = 0
+    if edge in ("last", "both"):
+        labels[-1] = n_classes - 1
+    before = scores.copy()
+
+    assert softmax(scores).tobytes() == _reference_softmax(scores).tobytes()
+    assert softmax(scores[0]).tobytes() == _reference_softmax(scores[0]).tobytes()
+    loss, grad = mean_softmax_xent(scores, labels)
+    ref_loss, ref_grad = _reference_mean_softmax_xent(scores, labels)
+    assert loss == ref_loss
+    assert grad.tobytes() == ref_grad.tobytes()
+    assert scores.tobytes() == before.tobytes()
 
 
 def test_sgd_plain_step():
