@@ -11,7 +11,9 @@ file/format error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import subprocess
 import sys
 import time
@@ -39,7 +41,7 @@ from .errors import (
 from .model import save_model, write_train_log
 from .neighbors import base_distances, class_means
 from .reports import (
-    classwise_report,
+    _classwise,
     gamma_sweep,
     run_training,
     split_report,
@@ -58,13 +60,18 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _git_describe() -> str | None:
+@functools.cache
+def _git_describe(cwd: str) -> str | None:
+    """`git describe` of the checkout holding `cwd`. It runs once per process
+    and directory, so a tree that turns dirty later in the same process keeps
+    its first answer."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
             capture_output=True,
             text=True,
             timeout=10,
+            cwd=cwd,
         )
     except (OSError, subprocess.TimeoutExpired):
         return None
@@ -78,7 +85,7 @@ def _write_run_json(out_dir: Path, command: str, config: dict, seed: int, t0: fl
         "command": command,
         "config": config,
         "seed": seed,
-        "git_describe": _git_describe(),
+        "git_describe": _git_describe(os.getcwd()),
         "wall_time_s": round(time.monotonic() - t0, 3),
     }
     _atomic_write_bytes(out_dir / "run.json", (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
@@ -294,21 +301,22 @@ def cmd_eval(args) -> None:
             "their splits or base-class rows differ"
         )
     features, labels = ds.partition_arrays(args.partition)
-    base_scores = bank.scores(features)
-    comp_scores = composed.scores(features)
-    report = split_report(comp_scores, labels, composed.split)
+    # One score matrix at a time: each report keeps its top-1 predictions,
+    # and the matrix is dropped when its report returns.
+    baseline = split_report(bank.scores(features), labels, bank.split)
+    report = split_report(composed.scores(features), labels, composed.split)
     means = class_means(ds)
     distances = {
         target: base_distances(means, bank.split, target)[0][0]
         for target in bank.split.few_ids
     }
-    classwise = classwise_report(base_scores, comp_scores, labels, distances)
+    classwise = _classwise(baseline.predictions, report.predictions, labels, distances)
     out = _out_dir(args.out_dir)
     write_split_report_csv(out / "split_report.csv", report)
     write_classwise_csv(out / "classwise.csv", classwise)
     summary = {
         "partition": args.partition,
-        "baseline": split_report(base_scores, labels, bank.split).to_dict(),
+        "baseline": baseline.to_dict(),
         "composed": report.to_dict(),
         "spearman_distance_vs_delta": classwise.spearman,
     }

@@ -86,8 +86,10 @@ class SplitSpec:
         for lab in self.labels:
             if lab not in SPLIT_NAMES:
                 raise IntegrityError(f"unknown split label {lab!r}")
-        if not all(_has_type(c, "int") for c in self.train_counts):
-            raise IntegrityError(f"split counts must be integers, got {list(self.train_counts)!r}")
+        if not all(_has_type(c, "int") and c >= 1 for c in self.train_counts):
+            raise IntegrityError(
+                f"split counts must be integers of at least 1, got {list(self.train_counts)!r}"
+            )
 
     @property
     def n_classes(self) -> int:
@@ -166,6 +168,7 @@ class ClassifierBank:
     provenance: str = ""
 
     def __post_init__(self):
+        check_field_types(self, ("provenance",), IntegrityError)
         self.weights = np.ascontiguousarray(self.weights, dtype=np.float64)
         self.biases = np.ascontiguousarray(self.biases, dtype=np.float64)
         n = self.split.n_classes
@@ -227,6 +230,8 @@ class FeatureDataset:
             raise IntegrityError(
                 f"split thresholds inverted: few_lt {self.few_lt} exceeds many_gt {self.many_gt}"
             )
+        if self.few_lt < 0:
+            raise IntegrityError(f"split thresholds must not be negative, got few_lt {self.few_lt}")
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
         self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
         # Checked before the cast, which would wrap a code of 258 to 2.

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import check_field_types
+from .config import _has_type, check_field_types
 from .data import (
     ClassifierBank,
     ComposedBank,
@@ -618,6 +618,9 @@ def load_model(path, bank: ClassifierBank) -> AlphaModel:
                 f"built for few classes {m['few_ids']}, bank has {list(bank.split.few_ids)}"
             )
         f, k, h, d = (m[key] for key in ("n_few", "top_k", "hidden", "reduced_dim"))
+        for key, kind in (("neighbors", "list[list[int]]"), ("distances", "list[list[float]]")):
+            if not _has_type(m[key], kind):
+                raise IntegrityError(f"{key} must be a {kind}, got {m[key]!r}")
         # An empty JSON list keeps no row length: it is 0 rows of K. Any other
         # list keeps its own shape for AlphaModel to check.
         lists = (np.array(m["neighbors"], dtype=np.int64), np.array(m["distances"], dtype=float))

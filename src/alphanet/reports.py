@@ -9,7 +9,7 @@ dependency is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -94,9 +94,12 @@ class SplitAccuracy:
 
 @dataclass
 class SplitReport:
-    """Accuracy per split; splits with no samples are simply absent."""
+    """Accuracy per split; splits with no samples are simply absent.
+    `predictions` is the top-1 class of each row when the report was built
+    from a whole score matrix; it takes no part in comparisons."""
 
     per_split: dict[str, SplitAccuracy]
+    predictions: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def accuracy(self, name: str) -> SplitAccuracy | None:
         return self.per_split.get(name)
@@ -108,26 +111,43 @@ class SplitReport:
         }
 
 
-def _split_masks(labels: np.ndarray, split) -> list[tuple[str, np.ndarray | None]]:
-    """The many, medium and few splits and `all`, each with its row mask;
-    `all` takes every row and has none. A split with no samples is absent."""
+def _split_masks(labels: np.ndarray, split, n_columns: int) -> list[tuple[str, np.ndarray]]:
+    """The many, medium and few splits, each with its row mask; a split with
+    no samples is absent. The split must label every score column, so that
+    its three splits cover every row."""
+    if split.n_classes != n_columns:
+        raise ShapeError(f"split of {split.n_classes} classes for {n_columns} score columns")
     masks = [(name, np.isin(labels, split.ids_of(name))) for name in ("many", "medium", "few")]
-    present = [(name, mask) for name, mask in masks if mask.any()]
-    return present + [("all", None)] if labels.size else present
+    return [(name, mask) for name, mask in masks if mask.any()]
+
+
+def _tally(counts: dict[str, tuple[int, int, int]]) -> dict[str, SplitAccuracy]:
+    """Accuracy per split from its (top-1 hits, top-5 hits, n) counts, plus
+    `all` from their sums: the splits are disjoint and cover every row."""
+    totals = [sum(column) for column in zip(*counts.values())]
+    rows = list(counts.items()) + ([("all", totals)] if counts else [])
+    return {name: SplitAccuracy(top1=h1 / n, top5=h5 / n, n=n) for name, (h1, h5, n) in rows}
 
 
 def split_report(scores: np.ndarray, labels: np.ndarray, split) -> SplitReport:
     """Top-1/top-5 per split plus the sample-weighted aggregate over all
-    samples. Top-5 uses k = min(5, N) so tiny class counts stay legal."""
+    samples. Top-5 uses k = min(5, N) so tiny class counts stay legal.
+
+    Top-1 comes from one `argmax` over the matrix: its first maximum is the
+    lower-id tie rule, so a hit is exactly a label of rank 0. Top-5 takes one
+    `topk_accuracy` per present split, whose hit count is `round(acc * n)`
+    (exact for n < 2**53). The report keeps the argmax as `predictions`.
+    """
     scores, labels = _check_scores(scores, labels)
     k5 = min(5, scores.shape[1])
-    per_split: dict[str, SplitAccuracy] = {}
-    for name, mask in _split_masks(labels, split):
-        rows, y = (scores, labels) if mask is None else (scores[mask], labels[mask])
-        per_split[name] = SplitAccuracy(
-            top1=topk_accuracy(rows, y, 1), top5=topk_accuracy(rows, y, k5), n=y.size
-        )
-    return SplitReport(per_split=per_split)
+    predictions = np.argmax(scores, axis=1)
+    hits = predictions == labels
+    counts = {}
+    for name, mask in _split_masks(labels, split, scores.shape[1]):
+        n = int(np.count_nonzero(mask))
+        top5 = topk_accuracy(scores[mask], labels[mask], k5)
+        counts[name] = (int(np.count_nonzero(hits[mask])), round(top5 * n), n)
+    return SplitReport(per_split=_tally(counts), predictions=predictions)
 
 
 class _FewColumnReport:
@@ -147,6 +167,7 @@ class _FewColumnReport:
     def __init__(self, scores: np.ndarray, labels: np.ndarray, split):
         scores = np.asarray(scores, dtype=np.float64)
         labels = _check_labels(labels, scores.shape)
+        self.splits = _split_masks(labels, split, scores.shape[1])
         base = np.array(split.base_ids, dtype=np.intp)
         few = split.few_index
         base_scores = _check_matrix(scores[:, base])
@@ -166,7 +187,6 @@ class _FewColumnReport:
         self.few_row_scores = base_scores[self.few_rows]
         self.few_row_lower_base = base < y_few[:, None]
         self.lower_few = few < labels[:, None]
-        self.splits = _split_masks(labels, split)
         self.k5 = min(5, scores.shape[1])
 
     def __call__(self, few_scores: np.ndarray) -> SplitReport:
@@ -184,15 +204,11 @@ class _FewColumnReport:
         ranks[self.few_rows] += _count_ahead(
             self.few_row_scores, label_scores[self.few_rows], self.few_row_lower_base
         )
-        per_split = {}
+        counts = {}
         for name, mask in self.splits:
-            r = ranks if mask is None else ranks[mask]
-            per_split[name] = SplitAccuracy(
-                top1=np.count_nonzero(r < 1) / r.size,
-                top5=np.count_nonzero(r < self.k5) / r.size,
-                n=r.size,
-            )
-        return SplitReport(per_split=per_split)
+            r = ranks[mask]
+            counts[name] = (np.count_nonzero(r < 1), np.count_nonzero(r < self.k5), r.size)
+        return SplitReport(per_split=_tally(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +269,16 @@ def classwise_report(
         raise ShapeError(
             f"score matrices disagree: {baseline_scores.shape} vs {composed_scores.shape}"
         )
-    base_pred = top1_predictions(baseline_scores)
-    comp_pred = top1_predictions(composed_scores)
+    return _classwise(
+        top1_predictions(baseline_scores), top1_predictions(composed_scores), labels, distances
+    )
+
+
+def _classwise(
+    base_pred: np.ndarray, comp_pred: np.ndarray, labels: np.ndarray, distances: dict[int, float]
+) -> ClasswiseReport:
+    """`classwise_report` from the two banks' top-1 predictions of checked
+    scores, so that neither score matrix has to be kept."""
     rows = []
     for class_id in sorted(distances):
         mask = labels == class_id

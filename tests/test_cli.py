@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 from pathlib import Path
@@ -13,9 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from alphanet import cli
 from alphanet.cli import _gen_config, _parse_grid, _run_config, build_parser, main
 from alphanet.config import RunConfig
-from alphanet.data import load_bank, load_dataset, save_dataset
+from alphanet.data import ClassifierBank, load_bank, load_dataset, save_dataset
 from alphanet.datagen import GenConfig
 from alphanet.errors import ConfigError
 
@@ -97,6 +99,49 @@ def test_eval_outputs_are_consistent(pipeline):
         "partition": "test",
         "seed": 0,
     }
+
+
+def _eval_argv(pipeline, out_dir) -> list[str]:
+    return [
+        "eval", "--dataset", str(pipeline["data"] / "dataset.json"),
+        "--bank", str(pipeline["base"] / "bank.json"),
+        "--composed", str(pipeline["run"] / "composed.json"), "--out-dir", str(out_dir),
+    ]
+
+
+def test_eval_holds_one_score_matrix_at_a_time(pipeline, tmp_path, monkeypatch):
+    """The baseline scores are freed before the composed bank is scored."""
+    matrices, earlier_alive = [], []
+    scores = ClassifierBank.scores
+
+    def tracked(bank, features):
+        earlier_alive.append([m() is not None for m in matrices])
+        out = scores(bank, features)
+        matrices.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(ClassifierBank, "scores", tracked)
+    assert main(_eval_argv(pipeline, tmp_path)) == 0
+    assert earlier_alive == [[], [False]]
+
+
+def test_git_describe_runs_once_per_working_directory(pipeline, tmp_path, monkeypatch):
+    spawned = []
+    run = subprocess.run
+
+    def counted(argv, **kwargs):
+        spawned.append(kwargs["cwd"])
+        return run(argv, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counted)
+    cli._git_describe.cache_clear()
+    for i, cwd in enumerate((tmp_path, tmp_path, pipeline["root"])):
+        monkeypatch.chdir(cwd)
+        out = tmp_path / f"out{i}"
+        assert main(_eval_argv(pipeline, out)) == 0
+        payload = json.loads((out / "run.json").read_text())
+        assert payload["git_describe"] == cli._git_describe(str(cwd))
+    assert spawned == [str(tmp_path), str(pipeline["root"])]
 
 
 def test_run_json_echoes_the_merged_config(pipeline):

@@ -1,11 +1,12 @@
 """Split assignment, the ALFT tensor format, and bundle round-trips."""
 
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -70,8 +71,8 @@ def test_splitspec_rejects_inconsistent_fields():
         SplitSpec(labels=("many",), train_counts=(5, 6))
     with pytest.raises(IntegrityError):
         SplitSpec(labels=("huge",), train_counts=(5,))
-    for count in ("150", 50.5, True, 5.0):
-        with pytest.raises(IntegrityError, match="integers"):
+    for count in ("150", 50.5, True, 5.0, 0, -1):
+        with pytest.raises(IntegrityError, match="integers of at least 1"):
             SplitSpec(labels=("many",), train_counts=(count,))
 
 
@@ -477,6 +478,15 @@ _MALFORMED = {
     ("model", "float_as_string"): lambda path, m: _write_json(path, m | {"gamma": "0.6"}),
     ("model", "int_as_string"): lambda path, m: _write_json(path, m | {"hidden": "4"}),
     ("model", "fractional_int"): lambda path, m: _write_json(path, m | {"hidden": 4.7}),
+    # Values of the right JSON type that still load into another object.
+    ("bank", "provenance_not_a_string"): lambda path, m: _write_json(path, m | {"provenance": 5}),
+    ("bank", "train_count_below_one"): lambda path, m: _write_json(
+        path, m | {"counts": [*m["counts"][:-1], 0]}
+    ),
+    ("dataset", "negative_threshold"): lambda path, m: _write_json(path, m | {"few_lt": -1}),
+    ("model", "bool_distance"): lambda path, m: _write_json(
+        path, m | {"distances": [[True, *m["distances"][0][1:]], *m["distances"][1:]]}
+    ),
 }
 
 
@@ -495,3 +505,99 @@ def test_integer_manifest_values_load_into_float_fields(tmp_path):
     _write_json(path, json.loads(path.read_text()) | {"gamma": 1, "slope": 0})
     model = load(path)
     assert (model.gamma, model.slope) == (1, 0)
+
+
+# ---------------------------------------------------------------------------
+# One changed manifest value or tensor header byte, on any bundle
+
+_SAVERS = {"bank": save_bank, "dataset": save_dataset, "model": save_model}
+
+
+def _other_types(old) -> list:
+    """Values of another JSON type than `old`. A float field takes ints, so an
+    int is no other type there, while any float, 4.0 too, is one for an int."""
+    pool = ["x", True, None, [], {"x": 1}, 2.5, 7] + ([float(old)] if type(old) is int else [])
+    same = (int, float) if type(old) is float else (type(old),)
+    return [v for v in pool if type(v) not in same]
+
+
+def _manifest_leaves(value, path=()):
+    """The path of every value nested in a manifest, lists and objects
+    included, but not the manifest itself."""
+    if isinstance(value, dict):
+        items = value.items()
+    else:
+        items = enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield path + (key,)
+        yield from _manifest_leaves(item, path + (key,))
+
+
+def _replace_at(value, path, new):
+    if not path:
+        return new
+    value = dict(value) if isinstance(value, dict) else list(value)
+    value[path[0]] = _replace_at(value[path[0]], path[1:], new)
+    return value
+
+
+def _value_at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+@st.composite
+def _changed_manifests(draw, manifest):
+    """The manifest with one value changed: swapped for a value of another
+    JSON type (an int is another type than a float, but not the reverse,
+    since a float field takes ints), set to a negative int where it held an
+    int, or a list made one item shorter or longer."""
+    path = draw(st.sampled_from(list(_manifest_leaves(manifest))))
+    old = _value_at(manifest, path)
+    changes = ["swap"]
+    if type(old) is int:
+        changes.append("negative")
+    if isinstance(old, list):
+        changes.append("length")
+    change = draw(st.sampled_from(changes))
+    if change == "swap":
+        new = draw(st.sampled_from(_other_types(old)))
+    elif change == "negative":
+        new = draw(st.sampled_from([-1, -(2**31)]))
+    elif old and draw(st.booleans()):
+        new = old[:-1]
+    else:
+        new = old + (old[-1:] or [0])
+    return _replace_at(manifest, path, new)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(list(_SAVERS)), header_byte=st.booleans(), data=st.data())
+def test_one_changed_manifest_value_or_header_byte_is_refused_or_harmless(kind, header_byte, data):
+    """The load raises an IntegrityError or FormatError naming the changed
+    file, or returns what saves to the original bytes. A changed tensor data
+    byte is left out: without a checksum it cannot be caught."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, load = _saved_bundle(kind, Path(tmp))
+        original = {f.name: f.read_bytes() for f in Path(tmp).iterdir()}
+        manifest = json.loads(path.read_text())
+        if header_byte:
+            files = manifest["tensor_files"]
+            changed = path.parent / files[data.draw(st.sampled_from(sorted(files)))]
+            raw = bytearray(changed.read_bytes())
+            offset = data.draw(st.integers(0, 6 + 4 * raw[6]))
+            raw[offset] = data.draw(st.integers(0, 255).filter(lambda b: b != raw[offset]))
+            changed.write_bytes(bytes(raw))
+        else:
+            changed = path
+            _write_json(path, data.draw(_changed_manifests(manifest)))
+        try:
+            loaded = load(path)
+        except (IntegrityError, FormatError) as exc:
+            assert str(changed) in str(exc)
+            return
+        again = Path(tmp) / "again"
+        again.mkdir()
+        _SAVERS[kind](again / path.name, loaded)
+        assert {f.name: f.read_bytes() for f in again.iterdir()} == original

@@ -21,6 +21,8 @@ from alphanet.reports import (
     SplitReport,
     SweepRow,
     _FewColumnReport,
+    _average_ranks,
+    _classwise,
     classwise_report,
     gamma_sweep,
     line_chart,
@@ -248,6 +250,110 @@ def test_metrics_reject_labels_outside_the_score_columns():
             split_report(scores, labels, split)
         with pytest.raises(ShapeError):
             _FewColumnReport(scores, labels, split)
+
+
+def test_split_reports_refuse_a_split_of_another_class_count():
+    """Top-1 and top-5 of `all` are sums over the three splits, which cover
+    every row only when the split labels every score column."""
+    labels = np.array([0, 1, 2])
+    for counts in ([150, 50], [150, 50, 5, 5]):
+        with pytest.raises(ShapeError, match="3 score columns"):
+            split_report(np.zeros((3, 3)), labels, assign_splits(counts))
+        with pytest.raises(ShapeError, match="3 score columns"):
+            _FewColumnReport(np.zeros((3, 3)), labels, assign_splits(counts))
+
+
+# ---------------------------------------------------------------------------
+# One argmax and a top-5 pass per split, against the bodies they replaced
+
+
+def _eight_call_split_report(scores, labels, split):
+    """`split_report` as it was: two `topk_accuracy` calls per present split,
+    each on a copy of the split's rows, and two more over all rows."""
+    scores = np.asarray(scores, dtype=np.float64)
+    k5 = min(5, scores.shape[1])
+    groups = [(name, np.isin(labels, split.ids_of(name))) for name in ("many", "medium", "few")]
+    groups = [(name, mask) for name, mask in groups if mask.any()]
+    per_split = {}
+    for name, mask in groups + ([("all", None)] if labels.size else []):
+        rows, y = (scores, labels) if mask is None else (scores[mask], labels[mask])
+        per_split[name] = SplitAccuracy(
+            top1=topk_accuracy(rows, y, 1), top5=topk_accuracy(rows, y, k5), n=y.size
+        )
+    return SplitReport(per_split=per_split)
+
+
+def _two_matrix_classwise_report(baseline_scores, composed_scores, labels, distances):
+    """`classwise_report` as it was, reading both score matrices."""
+    base_pred = top1_predictions(baseline_scores)
+    comp_pred = top1_predictions(composed_scores)
+    rows = []
+    for class_id in sorted(distances):
+        mask = labels == class_id
+        n = int(mask.sum())
+        if n == 0:
+            continue
+        base_acc = float(np.mean(base_pred[mask] == class_id))
+        comp_acc = float(np.mean(comp_pred[mask] == class_id))
+        rows.append(
+            ClasswiseRow(
+                class_id=int(class_id),
+                baseline_top1=base_acc,
+                composed_top1=comp_acc,
+                delta=comp_acc - base_acc,
+                nn_distance=float(distances[class_id]),
+                n=n,
+            )
+        )
+    spearman = None
+    if len(rows) >= 2:
+        dist = np.array([r.nn_distance for r in rows])
+        delta = np.array([r.delta for r in rows])
+        if np.ptp(dist) > 0 and np.ptp(delta) > 0:
+            ranks = np.column_stack([_average_ranks(dist), _average_ranks(delta)])
+            rho = np.corrcoef(ranks, rowvar=False)[1, 0]
+            if np.isfinite(rho):
+                spearman = float(rho)
+    return ClasswiseReport(rows=rows, spearman=spearman)
+
+
+@st.composite
+def _paired_scores(draw):
+    """Baseline and composed scores of one batch, plus nearest-neighbor
+    distances for a subset of classes that may include absent ones. Mostly
+    a small batch as `_scored_batches` draws it, else 2,000 x 50 normal
+    scores rounded to 0.1 so that ties occur."""
+    if draw(st.integers(0, 4)):
+        baseline, labels, split = draw(_scored_batches())
+        cells = draw(st.lists(_SCORE_VALUES, min_size=baseline.size, max_size=baseline.size))
+        composed = np.array(cells).reshape(baseline.shape)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        baseline, composed = np.round(rng.normal(size=(2, 2000, 50)), 1)
+        labels = rng.integers(0, 50, size=2000)
+        split = assign_splits(rng.choice([150, 50, 5], size=50))
+    class_ids = st.integers(0, baseline.shape[1] + 1)
+    distance = st.floats(0.0, 2.0).map(lambda x: round(x, 1))
+    distances = draw(st.dictionaries(class_ids, distance, max_size=baseline.shape[1] + 2))
+    return baseline, composed, labels, split, distances
+
+
+@settings(deadline=None)
+@given(_paired_scores())
+def test_reports_equal_the_bodies_they_replaced_bit_for_bit(paired):
+    baseline, composed, labels, split, distances = paired
+    reports = []
+    for scores in (baseline, composed):
+        report = split_report(scores, labels, split)
+        reference = _eight_call_split_report(scores, labels, split)
+        assert repr(report.to_dict()) == repr(reference.to_dict())
+        assert np.array_equal(report.predictions, top1_predictions(scores))
+        reports.append(report)
+    reference = repr(_two_matrix_classwise_report(baseline, composed, labels, distances).to_dict())
+    assert repr(classwise_report(baseline, composed, labels, distances).to_dict()) == reference
+    # What `eval` does: each report's predictions stand in for its matrix.
+    base_pred, comp_pred = (r.predictions for r in reports)
+    assert repr(_classwise(base_pred, comp_pred, labels, distances).to_dict()) == reference
 
 
 # ---------------------------------------------------------------------------
