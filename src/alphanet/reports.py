@@ -20,6 +20,12 @@ from .model import AlphaModel, FitResult, build_model, export_composed, fit
 
 REPORT_SPLITS = ("few", "medium", "many", "all")
 
+#: Rows per top-5 pass of `split_report`. A pass copies its rows' scores and
+#: builds row-by-class masks; 2,048 rows of 50 classes keep each under 1 MiB,
+#: so the report's working memory does not grow with the split sizes, and
+#: how much of it the heap keeps afterwards does not vary from run to run.
+_TOP5_BLOCK = 2048
+
 
 def _check_matrix(scores: np.ndarray) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
@@ -135,8 +141,9 @@ def split_report(scores: np.ndarray, labels: np.ndarray, split) -> SplitReport:
 
     Top-1 comes from one `argmax` over the matrix: its first maximum is the
     lower-id tie rule, so a hit is exactly a label of rank 0. Top-5 takes one
-    `topk_accuracy` per present split, whose hit count is `round(acc * n)`
-    (exact for n < 2**53). The report keeps the argmax as `predictions`.
+    `topk_accuracy` per block of at most `_TOP5_BLOCK` rows of a present
+    split, whose hit count is `round(acc * n)` (exact for n < 2**53). The
+    report keeps the argmax as `predictions`.
     """
     scores, labels = _check_scores(scores, labels)
     k5 = min(5, scores.shape[1])
@@ -144,9 +151,12 @@ def split_report(scores: np.ndarray, labels: np.ndarray, split) -> SplitReport:
     hits = predictions == labels
     counts = {}
     for name, mask in _split_masks(labels, split, scores.shape[1]):
-        n = int(np.count_nonzero(mask))
-        top5 = topk_accuracy(scores[mask], labels[mask], k5)
-        counts[name] = (int(np.count_nonzero(hits[mask])), round(top5 * n), n)
+        rows = np.flatnonzero(mask)
+        top5 = 0
+        for start in range(0, rows.size, _TOP5_BLOCK):
+            block = rows[start : start + _TOP5_BLOCK]
+            top5 += round(topk_accuracy(scores[block], labels[block], k5) * block.size)
+        counts[name] = (int(np.count_nonzero(hits[rows])), top5, rows.size)
     return SplitReport(per_split=_tally(counts), predictions=predictions)
 
 

@@ -1,5 +1,6 @@
 """Accuracy metrics, classwise tables, sweep drivers, and CSV/SVG emission."""
 
+import tracemalloc
 import xml.etree.ElementTree as ET
 from types import SimpleNamespace
 
@@ -13,6 +14,7 @@ from alphanet.config import RunConfig
 from alphanet.data import assign_splits
 from alphanet.datagen import GenConfig, generate, train_baseline
 from alphanet.errors import ConfigError, NumericError, ShapeError
+from alphanet import reports as reports_module
 from alphanet.neighbors import NeighborSet
 from alphanet.reports import (
     ClasswiseReport,
@@ -354,6 +356,41 @@ def test_reports_equal_the_bodies_they_replaced_bit_for_bit(paired):
     # What `eval` does: each report's predictions stand in for its matrix.
     base_pred, comp_pred = (r.predictions for r in reports)
     assert repr(_classwise(base_pred, comp_pred, labels, distances).to_dict()) == reference
+
+
+def _rounded_scores(n, n_classes, seed):
+    """Normal scores rounded to 0.1 so that ties occur, with some infinities."""
+    rng = np.random.default_rng(seed)
+    scores = np.round(rng.normal(size=(n, n_classes)), 1)
+    scores[rng.random(scores.shape) < 0.01] = np.inf
+    scores[rng.random(scores.shape) < 0.01] = -np.inf
+    return scores, rng.integers(0, n_classes, size=n)
+
+
+@pytest.mark.parametrize("block", [reports_module._TOP5_BLOCK, 7, 1])
+def test_split_report_top5_blocks_add_up_to_the_whole_split(monkeypatch, block):
+    """5,000 rows put every split across several top-5 blocks, the last
+    one partial."""
+    monkeypatch.setattr(reports_module, "_TOP5_BLOCK", block)
+    scores, labels = _rounded_scores(5000, 50, seed=block)
+    split = assign_splits([150] * 20 + [50] * 12 + [5] * 18)
+    reference = _eight_call_split_report(scores, labels, split)
+    assert repr(split_report(scores, labels, split).to_dict()) == repr(reference.to_dict())
+
+
+def test_split_report_working_memory_does_not_grow_with_the_splits():
+    """A top-5 pass copies at most one block of rows: with 40% of 40,000
+    rows in the many split, one copy of that split alone would take 6.4 MB."""
+    scores, labels = _rounded_scores(40_000, 50, seed=0)
+    split = assign_splits([150] * 20 + [50] * 12 + [5] * 18)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        split_report(scores, labels, split)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < scores.nbytes / 4
 
 
 # ---------------------------------------------------------------------------
