@@ -41,6 +41,7 @@ from .errors import (
 from .model import save_model, write_train_log
 from .neighbors import base_distances, class_means
 from .reports import (
+    REPORT_SPLITS,
     _classwise,
     gamma_sweep,
     run_training,
@@ -239,7 +240,7 @@ def _top1_line(report) -> str:
     """Top-1 per split, as "few 0.xxx, medium 0.xxx, ..."; absent splits are left out."""
     return ", ".join(
         f"{name} {acc.top1:.3f}"
-        for name in ("few", "medium", "many", "all")
+        for name in REPORT_SPLITS
         if (acc := report.accuracy(name)) is not None
     )
 

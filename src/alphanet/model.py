@@ -13,7 +13,7 @@ base samples; base classifiers stay frozen throughout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -65,17 +65,13 @@ class AlphaVector:
             raise ValueError(f"expected {stage} alphas, got {self.stage}")
 
 
-def raw_alpha(values) -> AlphaVector:
-    return AlphaVector(values=np.asarray(values, dtype=np.float64), stage="raw")
-
-
 def normalize_alpha(a: AlphaVector, strict: bool = True) -> AlphaVector:
     """Divide by the absolute sum so sum(|alpha|) == 1; signs preserved."""
     a._require("raw")
     return AlphaVector(values=abs_normalize(a.values, strict=strict), stage="normalized")
 
 
-def clamp_alpha(a: AlphaVector, gamma: float, k: int | None = None) -> AlphaVector:
+def clamp_alpha(a: AlphaVector, gamma: float) -> AlphaVector:
     """Cap |alpha_0| at gamma and floor |alpha_1..k| at (1-gamma)/k.
 
     No renormalization afterward: the clamped vector feeds composition
@@ -84,12 +80,8 @@ def clamp_alpha(a: AlphaVector, gamma: float, k: int | None = None) -> AlphaVect
     a._require("normalized")
     if not 0.0 < gamma <= 1.0:
         raise ConfigError(f"gamma must be in (0, 1], got {gamma}")
-    n = a.values.shape[0]
-    if k is None:
-        k = n - 1
-    elif k != n - 1:
-        raise ShapeError(f"alpha vector of length {n} disagrees with k={k}")
-    return AlphaVector(values=cap_floor_clamp(a.values, gamma, _floor(gamma, k)), stage="clamped")
+    floor = _floor(gamma, a.values.shape[0] - 1)
+    return AlphaVector(values=cap_floor_clamp(a.values, gamma, floor), stage="clamped")
 
 
 def _floor(gamma: float, k: int) -> float:
@@ -137,9 +129,6 @@ class SubModule:
     fc2_w: np.ndarray  # (k+1, hidden)
     fc2_b: np.ndarray  # (k+1,)
 
-    def params(self) -> list[np.ndarray]:
-        return [self.fc1_w, self.fc1_b, self.fc2_w, self.fc2_b]
-
 
 def init_submodule(
     rng: np.random.Generator,
@@ -147,8 +136,8 @@ def init_submodule(
     hidden: int,
     n_out: int,
     gamma: float,
-    init_gain: float = 2.5,
-    init_margin: float = 0.05,
+    init_gain: float,
+    init_margin: float,
 ) -> SubModule:
     """Uniform +-1/sqrt(fan-in) weights; the output bias points the initial
     coefficients at [~gamma, ~(1-gamma)/k, ...] so training starts near the
@@ -173,7 +162,7 @@ def init_submodule(
 def submodule_forward(sub: SubModule, input_vec: np.ndarray, slope: float) -> AlphaVector:
     """fc1 -> leaky relu -> fc2, producing raw coefficients."""
     hidden = leaky_relu(affine(sub.fc1_w, np.asarray(input_vec, dtype=np.float64), sub.fc1_b), slope)
-    return raw_alpha(affine(sub.fc2_w, hidden, sub.fc2_b))
+    return AlphaVector(affine(sub.fc2_w, hidden, sub.fc2_b), "raw")
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +202,10 @@ class AlphaModel:
             self, ("gamma", "top_k", "reduced_dim", "hidden", "slope", "strict_alpha"),
             IntegrityError,
         )
+        if not (0.0 < self.gamma <= 1.0 and 0.0 <= self.slope < 1.0):
+            raise IntegrityError(
+                f"gamma must be in (0, 1] and slope in [0, 1), got {self.gamma} and {self.slope}"
+            )
         few = self.bank.split.few_ids
         f, k, h, d = len(few), self.top_k, self.hidden, self.reduced_dim
         self.neighbors = np.asarray(self.neighbors, dtype=np.int64)
@@ -227,6 +220,8 @@ class AlphaModel:
                 f"model for {f} few classes needs neighbors, distances, reduced inputs "
                 f"and parameters shaped {shapes}, got {got}"
             )
+        if not np.all(self.distances >= 0.0):
+            raise IntegrityError(f"neighbor distances must be >= 0, got {np.min(self.distances)}")
         base = set(self.bank.split.base_ids)
         for target, ids in zip(few, self.neighbors.tolist()):
             if len(set(ids)) != len(ids) or not base.issuperset(ids):
@@ -261,9 +256,6 @@ class AlphaModel:
     def flat_inputs(self) -> np.ndarray:
         """Each few class's reduced classifiers flattened, target first: (F, (K+1)d)."""
         return self.reduced.reshape(len(self.reduced), (self.top_k + 1) * self.reduced_dim)
-
-    def parameters(self) -> list[np.ndarray]:
-        return list(self.params)
 
 
 def build_model(
@@ -306,16 +298,8 @@ def build_model(
         neighbors[i] = [c for _, c in ranked]
         distances[i] = [dist for dist, _ in ranked]
         reduced[i] = [pca_apply(proj, bank.weights[c]) for c in (target, *neighbors[i])]
-        sub = init_submodule(
-            rng,
-            in_dim=kp1 * reduced_dim,
-            hidden=hidden,
-            n_out=kp1,
-            gamma=gamma,
-            init_gain=init_gain,
-            init_margin=init_margin,
-        )
-        for stack, p in zip(params, sub.params()):
+        sub = init_submodule(rng, kp1 * reduced_dim, hidden, kp1, gamma, init_gain, init_margin)
+        for stack, p in zip(params, astuple(sub)):
             stack[i] = p
     return AlphaModel(
         gamma=gamma,
@@ -333,10 +317,10 @@ def build_model(
 
 
 def alpha_pipeline(model: AlphaModel, index: int) -> AlphaVector:
-    """Run one sub-module through the full raw -> normalized -> clamped chain."""
-    a = submodule_forward(model.submodules[index], model.flat_inputs[index], model.slope)
-    a = normalize_alpha(a, strict=model.strict_alpha)
-    return clamp_alpha(a, model.gamma)
+    """The clamped coefficients of few class `index`, from the batched
+    forward pass: the bits of its own per-vector raw -> normalized -> clamped
+    chain. Under `strict_alpha` any degenerate class raises."""
+    return AlphaVector(_alpha_forward(model)[-1][index], "clamped")
 
 
 def _alpha_forward(model: AlphaModel):
@@ -391,7 +375,7 @@ def loss_and_grads(
     model: AlphaModel, features: np.ndarray, labels: np.ndarray
 ) -> tuple[float, list[np.ndarray]]:
     """Mean cross-entropy over the batch plus the gradients of the four
-    stacked parameter arrays, in `model.parameters()` order.
+    stacked parameter arrays, in `model.params` order.
 
     Gradients flow through scoring, composition, clamping (zero on clamped
     coordinates) and normalization back into both layers; base-class scores
@@ -421,16 +405,16 @@ def loss_and_grads(
 
 
 def flatten_params(model: AlphaModel) -> np.ndarray:
-    return np.concatenate([p.ravel() for p in model.parameters()])
+    return np.concatenate([p.ravel() for p in model.params])
 
 
 def set_params(model: AlphaModel, flat: np.ndarray) -> None:
     flat = np.asarray(flat, dtype=np.float64)
-    expected = sum(p.size for p in model.parameters())
+    expected = sum(p.size for p in model.params)
     if flat.shape != (expected,):
         raise ShapeError(f"flat parameter vector {flat.shape} vs expected ({expected},)")
     offset = 0
-    for p in model.parameters():
+    for p in model.params:
         p[...] = flat[offset : offset + p.size].reshape(p.shape)
         offset += p.size
 
@@ -443,17 +427,12 @@ def sample_epoch(
     ds: FeatureDataset,
     split: SplitSpec,
     rng: np.random.Generator,
-    *,
-    train_idx: np.ndarray | None = None,
+    train_idx: np.ndarray,
 ) -> np.ndarray:
-    """All few-class train samples plus an equal number of base samples drawn
-    uniformly without replacement, shuffled. Redrawn every epoch.
-
-    `train_idx` is `ds.indices("train")` when the caller already holds it, as
-    `fit` does: it is the same every epoch.
+    """All few-class samples among `train_idx` (`ds.indices("train")`) plus an
+    equal number of base samples drawn uniformly without replacement,
+    shuffled. Redrawn every epoch.
     """
-    if train_idx is None:
-        train_idx = ds.indices("train")
     is_few = split.is_few[ds.labels[train_idx]]
     few_idx = train_idx[is_few]
     base_idx = train_idx[~is_few]
@@ -518,7 +497,7 @@ def fit(
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):
             lr = lr0 * 0.1 ** (epoch // 20)
-            order = sample_epoch(ds, split, rng, train_idx=train_idx)
+            order = sample_epoch(ds, split, rng, train_idx)
             loss_sum = 0.0
             for batch_index, start in enumerate(range(0, order.size, batch_size)):
                 batch = order[start : start + batch_size]

@@ -487,6 +487,12 @@ _MALFORMED = {
     ("model", "bool_distance"): lambda path, m: _write_json(
         path, m | {"distances": [[True, *m["distances"][0][1:]], *m["distances"][1:]]}
     ),
+    ("model", "negative_distance"): lambda path, m: _write_json(
+        path, m | {"distances": [[-1.0, *m["distances"][0][1:]], *m["distances"][1:]]}
+    ),
+    ("model", "gamma_above_one"): lambda path, m: _write_json(path, m | {"gamma": 1.5}),
+    ("model", "gamma_of_zero"): lambda path, m: _write_json(path, m | {"gamma": 0}),
+    ("model", "slope_of_one"): lambda path, m: _write_json(path, m | {"slope": 1.0}),
 }
 
 
@@ -551,12 +557,12 @@ def _value_at(value, path):
 def _changed_manifests(draw, manifest):
     """The manifest with one value changed: swapped for a value of another
     JSON type (an int is another type than a float, but not the reverse,
-    since a float field takes ints), set to a negative int where it held an
-    int, or a list made one item shorter or longer."""
+    since a float field takes ints), set to a negative int or float where it
+    held one, or a list made one item shorter or longer."""
     path = draw(st.sampled_from(list(_manifest_leaves(manifest))))
     old = _value_at(manifest, path)
     changes = ["swap"]
-    if type(old) is int:
+    if type(old) in (int, float):
         changes.append("negative")
     if isinstance(old, list):
         changes.append("length")
@@ -564,7 +570,7 @@ def _changed_manifests(draw, manifest):
     if change == "swap":
         new = draw(st.sampled_from(_other_types(old)))
     elif change == "negative":
-        new = draw(st.sampled_from([-1, -(2**31)]))
+        new = draw(st.sampled_from([-1, -(2**31)])) if type(old) is int else -1.0
     elif old and draw(st.booleans()):
         new = old[:-1]
     else:

@@ -33,7 +33,6 @@ from alphanet.model import (
     load_model,
     loss_and_grads,
     normalize_alpha,
-    raw_alpha,
     sample_epoch,
     save_model,
     set_params,
@@ -49,26 +48,26 @@ from alphanet.reports import split_report
 
 
 def test_normalize_divides_by_absolute_sum():
-    out = normalize_alpha(raw_alpha([-1.0, 1.0, 2.0]))
+    out = normalize_alpha(AlphaVector(np.array([-1.0, 1.0, 2.0]), "raw"))
     assert out.stage == "normalized"
     assert np.array_equal(out.values, [-0.25, 0.25, 0.5])
 
 
 def test_normalize_singleton():
-    assert np.array_equal(normalize_alpha(raw_alpha([5.0])).values, [1.0])
-    assert np.array_equal(normalize_alpha(raw_alpha([-5.0])).values, [-1.0])
+    assert np.array_equal(normalize_alpha(AlphaVector(np.array([5.0]), "raw")).values, [1.0])
+    assert np.array_equal(normalize_alpha(AlphaVector(np.array([-5.0]), "raw")).values, [-1.0])
 
 
 def test_normalize_is_idempotent():
-    once = normalize_alpha(raw_alpha([0.3, -0.2, 1.4]))
-    twice = normalize_alpha(raw_alpha(once.values))
+    once = normalize_alpha(AlphaVector(np.array([0.3, -0.2, 1.4]), "raw"))
+    twice = normalize_alpha(AlphaVector(once.values, "raw"))
     assert np.max(np.abs(once.values - twice.values)) < 1e-12
 
 
 def test_normalize_degenerate_strict_raises():
     with pytest.raises(DegenerateAlphaError):
-        normalize_alpha(raw_alpha([0.0, 0.0]))
-    lenient = normalize_alpha(raw_alpha([0.0, 0.0]), strict=False)
+        normalize_alpha(AlphaVector(np.zeros(2), "raw"))
+    lenient = normalize_alpha(AlphaVector(np.zeros(2), "raw"), strict=False)
     assert np.array_equal(lenient.values, [0.0, 0.0])
 
 
@@ -78,14 +77,14 @@ def test_normalize_degenerate_strict_raises():
     )
 )
 def test_normalize_unit_absolute_sum_signs_preserved(vals):
-    out = normalize_alpha(raw_alpha(vals))
+    out = normalize_alpha(AlphaVector(np.array(vals), "raw"))
     assert abs(np.sum(np.abs(out.values)) - 1.0) < 1e-9
     assert np.array_equal(np.sign(out.values), np.sign(vals))
 
 
 def test_clamp_both_rules_bind():
     a = AlphaVector(np.array([0.9, 0.02, 0.02, 0.02, 0.02, 0.02]), "normalized")
-    out = clamp_alpha(a, gamma=0.6, k=5)
+    out = clamp_alpha(a, gamma=0.6)
     assert out.stage == "clamped"
     assert out.values == pytest.approx([0.6, 0.08, 0.08, 0.08, 0.08, 0.08], abs=1e-12)
 
@@ -120,8 +119,6 @@ def test_clamp_validates_inputs():
     a = AlphaVector(np.array([0.5, 0.5]), "normalized")
     with pytest.raises(ConfigError):
         clamp_alpha(a, gamma=0.0)
-    with pytest.raises(ShapeError):
-        clamp_alpha(a, gamma=0.6, k=3)
     with pytest.raises(ValueError):
         clamp_alpha(AlphaVector(np.array([0.5, 0.5]), "raw"), gamma=0.6)
 
@@ -134,7 +131,7 @@ def test_clamp_validates_inputs():
     gamma=st.floats(0.05, 1.0),
 )
 def test_clamp_bounds_always_hold(vals, gamma):
-    out = clamp_alpha(normalize_alpha(raw_alpha(vals)), gamma)
+    out = clamp_alpha(normalize_alpha(AlphaVector(np.array(vals), "raw")), gamma)
     k = len(vals) - 1
     assert abs(out.values[0]) <= gamma + 1e-12
     assert np.all(np.abs(out.values[1:]) >= (1.0 - gamma) / k - 1e-12)
@@ -314,14 +311,14 @@ def test_model_shape_bookkeeping():
     model = build_model(bank, ds, gamma=0.6, top_k=2, reduced_dim=3, hidden=5, seed=0)
     n_few = len(bank.split.few_ids)
     assert len(model.submodules) == n_few
-    assert len(model.parameters()) == 4
-    assert [p.shape for p in model.parameters()] == [
+    assert len(model.params) == 4
+    assert [p.shape for p in model.params] == [
         (n_few, 5, 3 * 3), (n_few, 5), (n_few, 3, 5), (n_few, 3)
     ]
     for sub in model.submodules:
         assert sub.fc1_w.shape == (5, 3 * 3)
         assert sub.fc2_w.shape == (3, 5)
-    assert flatten_params(model).size == sum(p.size for p in model.parameters())
+    assert flatten_params(model).size == sum(p.size for p in model.params)
 
 
 def test_alpha_model_rejects_mismatched_submodule_count():
@@ -337,7 +334,7 @@ def test_alpha_model_rejects_mismatched_submodule_count():
             neighbors=model.neighbors,
             distances=model.distances,
             reduced=model.reduced,
-            params=[p[:-1] for p in model.parameters()],
+            params=[p[:-1] for p in model.params],
             bank=bank,
         )
 
@@ -346,9 +343,8 @@ def test_strict_alpha_mode_raises_on_degenerate_forward():
     ds, bank = _small_problem()
     model = build_model(bank, ds, gamma=0.6, top_k=2, reduced_dim=3, seed=0,
                         strict_alpha=True)
-    for sub in model.submodules:
-        for p in sub.params():
-            p[:] = 0.0
+    for p in model.params:
+        p[...] = 0.0
     with pytest.raises(DegenerateAlphaError):
         export_composed(model)
     model.strict_alpha = False
@@ -497,7 +493,7 @@ def test_sample_epoch_is_balanced():
     counts = [100, 60, 15, 10, 15, 10]  # few classes 2..5, 50 few samples
     split = assign_splits(counts)
     ds = _long_tailed_ds(np.random.default_rng(0), counts)
-    epoch = sample_epoch(ds, split, np.random.default_rng(1))
+    epoch = sample_epoch(ds, split, np.random.default_rng(1), ds.indices("train"))
     assert epoch.size == 100
     labels = ds.labels[epoch]
     few_mask = np.isin(labels, split.few_ids)
@@ -512,17 +508,13 @@ def test_sample_epoch_redraws_base_but_reproducibly():
     counts = [100, 60, 15, 10]
     split = assign_splits(counts)
     ds = _long_tailed_ds(np.random.default_rng(0), counts)
-    rng = np.random.default_rng(42)
-    first = sample_epoch(ds, split, rng)
-    second = sample_epoch(ds, split, rng)
+    rng, train_idx = np.random.default_rng(42), ds.indices("train")
+    first = sample_epoch(ds, split, rng, train_idx)
+    second = sample_epoch(ds, split, rng, train_idx)
     assert not np.array_equal(first, second)  # fresh base subset per epoch
     rng2 = np.random.default_rng(42)
-    assert np.array_equal(first, sample_epoch(ds, split, rng2))
-    assert np.array_equal(second, sample_epoch(ds, split, rng2))
-    # `fit` passes the train indices it built once; the draws are the same.
-    rng3, train_idx = np.random.default_rng(42), ds.indices("train")
-    assert np.array_equal(first, sample_epoch(ds, split, rng3, train_idx=train_idx))
-    assert np.array_equal(second, sample_epoch(ds, split, rng3, train_idx=train_idx))
+    assert np.array_equal(first, sample_epoch(ds, split, rng2, train_idx))
+    assert np.array_equal(second, sample_epoch(ds, split, rng2, train_idx))
 
 
 def test_sample_epoch_requires_enough_base_samples():
@@ -530,7 +522,7 @@ def test_sample_epoch_requires_enough_base_samples():
     split = assign_splits(counts)
     ds = _long_tailed_ds(np.random.default_rng(0), counts)
     with pytest.raises(ConfigError):
-        sample_epoch(ds, split, np.random.default_rng(0))
+        sample_epoch(ds, split, np.random.default_rng(0), ds.indices("train"))
 
 
 # ---------------------------------------------------------------------------
@@ -714,9 +706,9 @@ def test_submodules_are_views_of_the_stacked_parameters(tmp_path):
     x, y = ds.features[:6], ds.labels[:6]
     loss_before, _ = loss_and_grads(model, x, y)
     few_before = export_composed(model).weights[list(model.few_ids)].copy()
-    edited = model.parameters()[3][-1, 0] + 0.5
+    edited = model.params[3][-1, 0] + 0.5
     model.submodules[-1].fc2_b[0] += 0.5  # an in-place edit through a view
-    assert model.parameters()[3][-1, 0] == edited
+    assert model.params[3][-1, 0] == edited
     assert loss_and_grads(model, x, y)[0] != loss_before
     few_after = export_composed(model).weights[list(model.few_ids)]
     assert np.array_equal(few_after[:-1], few_before[:-1])
@@ -823,7 +815,7 @@ def test_model_round_trip_is_bit_exact_for_any_shape(seed, f, k, d, h, strict_al
         back = load_model(Path(tmp) / "model.json", bank)
     for name in ("gamma", "top_k", "reduced_dim", "hidden", "slope", "strict_alpha"):
         assert getattr(back, name) == getattr(model, name)
-    for p, q in zip(model.parameters(), back.parameters(), strict=True):
+    for p, q in zip(model.params, back.params, strict=True):
         assert p.shape == q.shape and p.tobytes() == q.tobytes()
     assert len(back.neighbor_sets) == f
     for ns1, ns2 in zip(model.neighbor_sets, back.neighbor_sets):

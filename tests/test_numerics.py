@@ -1,6 +1,7 @@
 """Primitive operations against brute-force oracles and finite differences."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -15,10 +16,13 @@ from alphanet.model import (
     _linear_mix,
     _linear_mix_vjp,
     alpha_pipeline,
+    clamp_alpha,
     flatten_params,
     init_submodule,
     loss_and_grads,
+    normalize_alpha,
     set_params,
+    submodule_forward,
 )
 from alphanet.numerics import (
     abs_normalize,
@@ -442,13 +446,13 @@ def _random_model(rng, f, k, d, h, gamma):
     )
     reduced, subs = rng.normal(size=(f, k + 1, d)), []
     for _ in split.few_ids:
-        sub = init_submodule(rng, (k + 1) * d, h, k + 1, gamma, init_margin=0.5)
+        sub = init_submodule(rng, (k + 1) * d, h, k + 1, gamma, 2.5, 0.5)
         sub.fc2_w *= 0.05  # keep the coefficients near their interior target
         subs.append(sub)
     model = AlphaModel(
         gamma=gamma, top_k=k, reduced_dim=d, hidden=h, slope=0.01,
         neighbors=np.tile(np.arange(k), (f, 1)), distances=np.ones((f, k)), reduced=reduced,
-        params=[np.stack(g) for g in zip(*(sub.params() for sub in subs))], bank=bank,
+        params=[np.stack(g) for g in zip(*map(astuple, subs))], bank=bank,
     )
     features = rng.normal(scale=2.0, size=(5, dim))
     labels = rng.integers(0, n_base + f, size=5)
@@ -485,7 +489,7 @@ def test_loss_and_grads_match_central_differences(seed, f, k, d, h, gamma_frac):
 
     _, grads = loss_and_grads(model, x, y)
     flat_grad = np.concatenate([g.ravel() for g in grads])
-    assert [g.shape for g in grads] == [p.shape for p in model.parameters()]
+    assert [g.shape for g in grads] == [p.shape for p in model.params]
     x0 = flatten_params(model)
 
     def f_loss(flat):
@@ -521,3 +525,54 @@ def test_loss_and_grads_is_bit_reproducible(seed, f, k):
     loss2, g2 = loss_and_grads(model, x, y)
     assert np.float64(loss1).tobytes() == np.float64(loss2).tobytes()
     assert [g.tobytes() for g in g1] == [g.tobytes() for g in g2]
+
+
+def _per_vector_alpha(model, i, strict):
+    """Class `i`'s coefficients through the per-vector raw -> normalized ->
+    clamped chain."""
+    sub, ns = model.submodules[i], model.neighbor_sets[i]
+    raw = submodule_forward(sub, ns.flat_input, model.slope)
+    return clamp_alpha(normalize_alpha(raw, strict=strict), model.gamma)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**31),
+    f=st.integers(1, 4),
+    k=st.integers(0, 3),
+    d=st.integers(1, 3),
+    h=st.integers(1, 4),
+    gamma=st.floats(0.05, 1.0),
+    scale=st.sampled_from([0.01, 1.0, 30.0]),
+    degenerate=st.booleans(),
+)
+def test_batched_alpha_is_bit_equal_to_the_per_vector_chain(
+    seed, f, k, d, h, gamma, scale, degenerate
+):
+    """`alpha_pipeline` reads the batched forward pass; every class gets the
+    bits of its own per-vector chain, on and off the clamp boundaries."""
+    rng = np.random.default_rng(seed)
+    model, _, _ = _random_model(rng, f, k, d, h, gamma)
+    for p in model.params:
+        p[...] = scale * rng.normal(size=p.shape)
+    if degenerate:  # a zero raw vector: the lenient floor keeps it at zero
+        model.params[2][-1] = 0.0
+        model.params[3][-1] = 0.0
+    for i in range(f):
+        batched = alpha_pipeline(model, i)
+        assert batched.stage == "clamped"
+        assert batched.values.tobytes() == _per_vector_alpha(model, i, strict=False).values.tobytes()
+
+
+def test_strict_alpha_pipeline_raises_when_any_class_is_degenerate():
+    model, _, _ = _random_model(np.random.default_rng(0), 3, 2, 2, 3, 0.6)
+    model.strict_alpha = True
+    model.params[2][-1] = 0.0
+    model.params[3][-1] = 0.0
+    # The healthy classes' own chains succeed, but the batched pass covers
+    # every class, so each call raises.
+    for i in range(2):
+        _per_vector_alpha(model, i, strict=True)
+    for i in range(3):
+        with pytest.raises(DegenerateAlphaError):
+            alpha_pipeline(model, i)
