@@ -49,6 +49,7 @@ from .neighbors import (
 from .reports import (
     ClasswiseReport,
     SplitReport,
+    bank_report,
     classwise_report,
     gamma_sweep,
     run_training,

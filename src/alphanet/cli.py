@@ -43,9 +43,9 @@ from .neighbors import base_distances, class_means
 from .reports import (
     REPORT_SPLITS,
     _classwise,
+    bank_report,
     gamma_sweep,
     run_training,
-    split_report,
     topk_sweep,
     write_classwise_csv,
     write_split_report_csv,
@@ -258,8 +258,7 @@ def cmd_baseline(args) -> None:
     )
     out = _out_dir(args.out_dir)
     save_bank(out / "bank.json", bank)
-    features, labels = ds.partition_arrays("val")
-    report = split_report(bank.scores(features), labels, bank.split)
+    report = bank_report(bank, ds, "val")
     print(f"wrote {out / 'bank.json'}; val top-1: {_top1_line(report)}")
     names = ("dataset", "epochs", "lr", "batch_size", "momentum", "seed")
     config = {name: getattr(args, name) for name in names}
@@ -301,11 +300,11 @@ def cmd_eval(args) -> None:
             f"composed bank {args.composed} was not built from {args.bank}: "
             "their splits or base-class rows differ"
         )
-    features, labels = ds.partition_arrays(args.partition)
-    # One score matrix at a time: each report keeps its top-1 predictions,
-    # and the matrix is dropped when its report returns.
-    baseline = split_report(bank.scores(features), labels, bank.split)
-    report = split_report(composed.scores(features), labels, composed.split)
+    # Each report scores the partition in row blocks and keeps only its top-1
+    # predictions, which the classwise table reads.
+    baseline = bank_report(bank, ds, args.partition)
+    report = bank_report(composed, ds, args.partition)
+    labels = ds.labels[ds.indices(args.partition)]
     means = class_means(ds)
     distances = {
         target: base_distances(means, bank.split, target)[0][0]

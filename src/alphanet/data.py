@@ -19,6 +19,7 @@ so readers never observe a partial file.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -287,12 +288,15 @@ class FeatureDataset:
 # Tensor file I/O
 
 
-def _atomic_write_bytes(path, data: bytes) -> None:
+def _atomic_write_bytes(path, *chunks) -> None:
+    """Write the byte buffers `chunks` one after another as the file `path`,
+    through a temp file and a rename."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -301,47 +305,59 @@ def _atomic_write_bytes(path, data: bytes) -> None:
 
 
 def write_tensor(path, t: np.ndarray) -> None:
-    """Write a 1-D or 2-D float64 array in the ALFT format (atomically)."""
+    """Write a 1-D or 2-D float64 array in the ALFT format (atomically). The
+    payload is written from the array's own buffer, without a bytes copy."""
     t = np.ascontiguousarray(t, dtype=_F64_LE)
     if t.ndim not in (1, 2):
         raise ShapeError(f"write_tensor: rank must be 1 or 2, got shape {t.shape}")
     header = MAGIC + bytes([FORMAT_VERSION, DTYPE_F64, t.ndim])
     header += b"".join(struct.pack("<I", d) for d in t.shape)
-    _atomic_write_bytes(path, header + t.tobytes())
+    # A byte view, not memoryview(t).cast, which refuses zero-size arrays.
+    _atomic_write_bytes(path, header, t.reshape(-1).view(np.uint8))
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read an ALFT tensor file; inverse of `write_tensor`, bit-exact."""
-    data = Path(path).read_bytes()
-    if len(data) < 4:
-        raise FormatError(path, "truncated header: missing magic", len(data))
-    if data[:4] != MAGIC:
-        raise FormatError(path, f"bad magic {data[:4]!r}, expected {MAGIC!r}", 0)
-    if len(data) < 7:
-        raise FormatError(path, "truncated header", len(data))
-    if data[4] != FORMAT_VERSION:
-        raise FormatError(path, f"unsupported version 0x{data[4]:02x}", 4)
-    if data[5] != DTYPE_F64:
-        raise FormatError(path, f"unsupported dtype 0x{data[5]:02x}", 5)
-    rank = data[6]
-    if rank not in (1, 2):
-        raise FormatError(path, f"rank must be 1 or 2, got {rank}", 6)
-    dims_end = 7 + 4 * rank
-    if len(data) < dims_end:
-        raise FormatError(path, "truncated dimension list", len(data))
-    dims = tuple(
-        struct.unpack_from("<I", data, 7 + 4 * i)[0] for i in range(rank)
-    )
-    count = int(np.prod(dims, dtype=np.int64)) if dims else 0
-    expected_end = dims_end + 8 * count
-    if len(data) < expected_end:
-        raise FormatError(
-            path, f"truncated payload: expected {expected_end - dims_end} bytes", len(data)
+    """Read an ALFT tensor file; inverse of `write_tensor`, bit-exact. The
+    payload is read straight into the returned array."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        data = fh.read(7 + 4 * 2)  # the longest header, rank 2
+        if size < 4:
+            raise FormatError(path, "truncated header: missing magic", size)
+        if data[:4] != MAGIC:
+            raise FormatError(path, f"bad magic {data[:4]!r}, expected {MAGIC!r}", 0)
+        if size < 7:
+            raise FormatError(path, "truncated header", size)
+        if data[4] != FORMAT_VERSION:
+            raise FormatError(path, f"unsupported version 0x{data[4]:02x}", 4)
+        if data[5] != DTYPE_F64:
+            raise FormatError(path, f"unsupported dtype 0x{data[5]:02x}", 5)
+        rank = data[6]
+        if rank not in (1, 2):
+            raise FormatError(path, f"rank must be 1 or 2, got {rank}", 6)
+        dims_end = 7 + 4 * rank
+        if size < dims_end:
+            raise FormatError(path, "truncated dimension list", size)
+        dims = tuple(
+            struct.unpack_from("<I", data, 7 + 4 * i)[0] for i in range(rank)
         )
-    if len(data) > expected_end:
-        raise FormatError(path, "trailing bytes after payload", expected_end)
-    flat = np.frombuffer(data, dtype=_F64_LE, count=count, offset=dims_end)
-    return flat.reshape(dims).astype(np.float64, copy=True)
+        count = math.prod(dims)  # exact: an int64 product of two u32 could wrap
+        expected_end = dims_end + 8 * count
+        if size < expected_end:
+            raise FormatError(
+                path, f"truncated payload: expected {expected_end - dims_end} bytes", size
+            )
+        if size > expected_end:
+            raise FormatError(path, "trailing bytes after payload", expected_end)
+        flat = np.empty(count, dtype=_F64_LE)
+        fh.seek(dims_end)
+        got = fh.readinto(flat)
+    if got != flat.nbytes:
+        # The file shrank after its size was read.
+        raise FormatError(
+            path, f"truncated payload: expected {flat.nbytes} bytes", dims_end + got
+        )
+    return flat.reshape(dims).astype(np.float64, copy=False)
 
 
 # ---------------------------------------------------------------------------

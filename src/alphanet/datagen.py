@@ -158,22 +158,23 @@ def generate(cfg: GenConfig) -> tuple[FeatureDataset, SplitSpec, np.ndarray]:
         parent = int(rng.choice(base_ids))
         means[c] = rho * means[parent] + (1.0 - rho) * means[c]
 
-    feats, labels, parts = [], [], []
+    # One matrix, filled class by class: each class's train, val and test
+    # samples in that order, with partition codes 0, 1 and 2.
     per_class = counts + cfg.val_per_class + cfg.test_per_class
-    for c in range(n):
-        m = int(per_class[c])
-        feats.append(rng.normal(means[c], cfg.sigma, size=(m, d)))
-        labels.append(np.full(m, c, dtype=np.int64))
-        codes = np.empty(m, dtype=np.uint8)
-        codes[: counts[c]] = 0
-        codes[counts[c] : counts[c] + cfg.val_per_class] = 1
-        codes[counts[c] + cfg.val_per_class :] = 2
-        parts.append(codes)
+    features = np.empty((int(per_class.sum()), d))
+    partitions = np.full(features.shape[0], 2, dtype=np.uint8)
+    start = 0
+    for c, m in enumerate(per_class):
+        features[start : start + m] = rng.normal(means[c], cfg.sigma, size=(m, d))
+        val_start = start + counts[c]
+        partitions[start:val_start] = 0
+        partitions[val_start : val_start + cfg.val_per_class] = 1
+        start += m
 
     ds = FeatureDataset(
-        features=np.concatenate(feats),
-        labels=np.concatenate(labels),
-        partitions=np.concatenate(parts),
+        features=features,
+        labels=np.repeat(np.arange(n, dtype=np.int64), per_class),
+        partitions=partitions,
         n_classes=n,
         many_gt=cfg.many_gt,
         few_lt=cfg.few_lt,

@@ -275,11 +275,15 @@ def build_model(
     bank's weight rows, and initialize a sub-module per few class."""
     if not 0.0 < gamma <= 1.0:
         raise ConfigError(f"gamma must be in (0, 1], got {gamma}")
+    if not 0.0 <= slope < 1.0:
+        raise ConfigError(f"slope must be in [0, 1), got {slope}")
     split = bank.split
     if top_k > split.n_base:
         raise ConfigError(f"top_k {top_k} exceeds number of base classes {split.n_base}")
     if hidden is None:
         hidden = reduced_dim
+    if hidden < 1:
+        raise ConfigError(f"hidden must be >= 1, got {hidden}")
     if bank.feature_dim != ds.feature_dim:
         raise ConfigError(
             f"bank dim {bank.feature_dim} does not match dataset dim {ds.feature_dim}"
@@ -482,10 +486,6 @@ def fit(
     rng = np.random.default_rng(seed)
     split = model.bank.split
     val_x, val_y = ds.partition_arrays("val")
-    # Training moves only the few-class classifiers, so the validation scores
-    # against the frozen bank are computed and ranked once, and each epoch
-    # scores and ranks only the few-class columns.
-    validate = _FewColumnReport(model.bank.scores(val_x), val_y, split)
     train_idx = ds.indices("train")
     params = model.params
     velocities = [np.zeros_like(p) for p in params]
@@ -494,7 +494,13 @@ def fit(
 
     # A diverging step overflows to inf or NaN, which the loss and validation
     # checks report as a TrainingError; numpy's warnings would only repeat it.
+    # A base-class validation score that overflows to +-inf is ranked as it
+    # is: only NaN has no place in a score order.
     with np.errstate(over="ignore", invalid="ignore"):
+        # Training moves only the few-class classifiers, so the validation
+        # scores against the frozen bank are computed and ranked once, and
+        # each epoch scores and ranks only the few-class columns.
+        validate = _FewColumnReport(model.bank.scores(val_x), val_y, split)
         for epoch in range(epochs):
             lr = lr0 * 0.1 ** (epoch // 20)
             order = sample_epoch(ds, split, rng, train_idx)

@@ -20,11 +20,18 @@ from .model import AlphaModel, FitResult, build_model, export_composed, fit
 
 REPORT_SPLITS = ("few", "medium", "many", "all")
 
-#: Rows per top-5 pass of `split_report`. A pass copies its rows' scores and
-#: builds row-by-class masks; 2,048 rows of 50 classes keep each under 1 MiB,
-#: so the report's working memory does not grow with the split sizes, and
-#: how much of it the heap keeps afterwards does not vary from run to run.
-_TOP5_BLOCK = 2048
+#: Rows per scoring block of `bank_report` and per top-5 pass of
+#: `split_report`. Each block's scores, and a top-5 pass's copies and
+#: row-by-class masks, take under 1 MiB at 2,048 rows of 50 classes, so a
+#: report's working memory does not grow with the partition or split sizes,
+#: and how much of it the heap keeps afterwards does not vary from run to run.
+_ROW_BLOCK = 2048
+
+#: Fewest rows `bank_report` scores in one block. OpenBLAS gives a product of
+#: a few rows other bits than the same rows of a taller product (up to 24
+#: rows at feature dims 32-128 with 50 classes), so a shorter remainder joins
+#: the block before it, and every block matches the whole-matrix scores.
+_MIN_BLOCK = 64
 
 
 def _check_matrix(scores: np.ndarray) -> np.ndarray:
@@ -102,7 +109,8 @@ class SplitAccuracy:
 class SplitReport:
     """Accuracy per split; splits with no samples are simply absent.
     `predictions` is the top-1 class of each row when the report was built
-    from a whole score matrix; it takes no part in comparisons."""
+    from scores (`split_report`, `bank_report`); it takes no part in
+    comparisons."""
 
     per_split: dict[str, SplitAccuracy]
     predictions: np.ndarray | None = field(default=None, compare=False, repr=False)
@@ -141,7 +149,7 @@ def split_report(scores: np.ndarray, labels: np.ndarray, split) -> SplitReport:
 
     Top-1 comes from one `argmax` over the matrix: its first maximum is the
     lower-id tie rule, so a hit is exactly a label of rank 0. Top-5 takes one
-    `topk_accuracy` per block of at most `_TOP5_BLOCK` rows of a present
+    `topk_accuracy` per block of at most `_ROW_BLOCK` rows of a present
     split, whose hit count is `round(acc * n)` (exact for n < 2**53). The
     report keeps the argmax as `predictions`.
     """
@@ -153,11 +161,42 @@ def split_report(scores: np.ndarray, labels: np.ndarray, split) -> SplitReport:
     for name, mask in _split_masks(labels, split, scores.shape[1]):
         rows = np.flatnonzero(mask)
         top5 = 0
-        for start in range(0, rows.size, _TOP5_BLOCK):
-            block = rows[start : start + _TOP5_BLOCK]
+        for start in range(0, rows.size, _ROW_BLOCK):
+            block = rows[start : start + _ROW_BLOCK]
             top5 += round(topk_accuracy(scores[block], labels[block], k5) * block.size)
         counts[name] = (int(np.count_nonzero(hits[rows])), top5, rows.size)
     return SplitReport(per_split=_tally(counts), predictions=predictions)
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Blocks of `_ROW_BLOCK` rows covering `n` rows, the last one taking a
+    remainder shorter than `_MIN_BLOCK`; fewer rows than that are one block."""
+    starts = list(range(0, max(n, 1), _ROW_BLOCK))
+    if len(starts) > 1 and n - starts[-1] < _MIN_BLOCK:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def bank_report(bank: ClassifierBank, ds: FeatureDataset, partition: str) -> SplitReport:
+    """`split_report` of `bank.scores` on a partition of `ds`, scored in
+    blocks of rows (see `_row_blocks`) so that no partition-sized score
+    matrix or feature copy is held. Each block's per-split hit counts
+    (`round(acc * n)`, exact) are summed, so the report and its
+    `predictions` equal those of the whole matrix."""
+    idx = ds.indices(partition)
+    sums = {name: [0, 0, 0] for name in ("many", "medium", "few")}
+    predictions = []
+    for block in _row_blocks(idx.size):
+        rows = idx[block]
+        report = split_report(bank.scores(ds.features[rows]), ds.labels[rows], bank.split)
+        predictions.append(report.predictions)
+        for name, total in sums.items():
+            if (acc := report.accuracy(name)) is not None:
+                total[0] += round(acc.top1 * acc.n)
+                total[1] += round(acc.top5 * acc.n)
+                total[2] += acc.n
+    counts = {name: total for name, total in sums.items() if total[2]}
+    return SplitReport(per_split=_tally(counts), predictions=np.concatenate(predictions))
 
 
 class _FewColumnReport:
@@ -385,12 +424,12 @@ def _sweep(
     values,
     partition: str = "test",
 ) -> list[SweepRow]:
-    features, labels = ds.partition_arrays(partition)
     configs = [replace(cfg, **{param: value}).validate() for value in values]
+    ds.indices(partition)  # an unknown partition is refused before any cell trains
 
     def cell(c: RunConfig) -> SplitReport:
         _, composed = run_training(bank, ds, c)
-        return split_report(composed.scores(features), labels, composed.split)
+        return bank_report(composed, ds, partition)
 
     reports = [cell(c) for c in configs]
     return [

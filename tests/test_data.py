@@ -1,8 +1,11 @@
 """Split assignment, the ALFT tensor format, and bundle round-trips."""
 
 import json
+import os
 import tempfile
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -178,6 +181,54 @@ def test_read_tensor_truncation_and_trailing_bytes(tmp_path):
     with pytest.raises(FormatError) as exc:
         read_tensor(p)
     assert "trailing" in str(exc.value)
+
+
+def test_read_tensor_names_a_short_or_long_payload_exactly(tmp_path, monkeypatch):
+    """A (2, 3) tensor file is a 15-byte header and a 48-byte payload."""
+    p = tmp_path / "t.alft"
+    write_tensor(p, np.arange(6.0).reshape(2, 3))
+    good = p.read_bytes()
+    assert len(good) == 63
+
+    p.write_bytes(good[:38] + good[39:])  # one byte short, mid-payload
+    with pytest.raises(FormatError) as exc:
+        read_tensor(p)
+    assert str(exc.value) == f"{p}: truncated payload: expected 48 bytes (at byte offset 62)"
+    assert exc.value.offset == 62
+
+    p.write_bytes(good + b"\x00")  # one trailing byte
+    with pytest.raises(FormatError) as exc:
+        read_tensor(p)
+    assert str(exc.value) == f"{p}: trailing bytes after payload (at byte offset 63)"
+    assert exc.value.offset == 63
+
+    # A file that shrinks after its size is read reports where it ended.
+    p.write_bytes(good[:40])
+    monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=len(good)))
+    with pytest.raises(FormatError) as exc:
+        read_tensor(p)
+    assert str(exc.value) == f"{p}: truncated payload: expected 48 bytes (at byte offset 40)"
+
+
+def test_tensor_files_are_written_and_read_without_a_whole_file_copy(tmp_path):
+    """The payload goes out from the array's buffer and comes back into the
+    returned array, so neither side holds a second copy of a 4 MiB tensor."""
+    t = np.random.default_rng(0).normal(size=(4096, 128))
+    p = tmp_path / "t.alft"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_tensor(p, t)
+        write_peak = tracemalloc.get_traced_memory()[1] - before
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        back = read_tensor(p)
+        read_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert write_peak < 0.1 * t.nbytes
+    assert read_peak <= 1.1 * t.nbytes
+    assert back.tobytes() == t.tobytes()
 
 
 def test_header_layout_is_stable(tmp_path):

@@ -1,5 +1,7 @@
 """Synthetic long-tailed generator and the frozen logistic-regression bank."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,20 @@ def test_count_profile_matches_decay_formula():
         frac = (10 - 1 - i) / (10 - 1)
         expected = round(5 + (200 - 5) * frac**1.6)
         assert counts[i] == expected
+
+
+def test_generate_fills_one_feature_matrix():
+    """The tail-heavy profile (54,080 samples) is drawn into one matrix;
+    no per-class arrays are held for a concatenation."""
+    cfg = GenConfig(decay_exponent=2.5, test_per_class=1000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ds, _, _ = generate(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * ds.features.nbytes
 
 
 def test_default_profile_leaves_ten_few_classes():

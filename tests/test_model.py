@@ -306,6 +306,22 @@ def test_build_model_validates_configuration():
         build_model(bank, ds, top_k=bank.split.n_base + 1)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"hidden": 0}, "hidden must be >= 1, got 0"),
+        ({"hidden": -2}, "hidden must be >= 1, got -2"),
+        ({"slope": 1.5}, r"slope must be in \[0, 1\), got 1.5"),
+    ],
+    ids=["hidden-0", "hidden-negative", "slope-1.5"],
+)
+def test_build_model_refuses_a_bad_hidden_or_slope(kwargs, message):
+    """The ConfigError that `gamma` gets, before any sub-module is drawn."""
+    ds, bank = _small_problem()
+    with pytest.raises(ConfigError, match=message):
+        build_model(bank, ds, **kwargs)
+
+
 def test_model_shape_bookkeeping():
     ds, bank = _small_problem()
     model = build_model(bank, ds, gamma=0.6, top_k=2, reduced_dim=3, hidden=5, seed=0)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from alphanet.config import RunConfig
-from alphanet.data import assign_splits
+from alphanet.data import ClassifierBank, FeatureDataset, assign_splits
 from alphanet.datagen import GenConfig, generate, train_baseline
 from alphanet.errors import ConfigError, NumericError, ShapeError
 from alphanet import reports as reports_module
@@ -25,6 +25,7 @@ from alphanet.reports import (
     _FewColumnReport,
     _average_ranks,
     _classwise,
+    bank_report,
     classwise_report,
     gamma_sweep,
     line_chart,
@@ -367,11 +368,11 @@ def _rounded_scores(n, n_classes, seed):
     return scores, rng.integers(0, n_classes, size=n)
 
 
-@pytest.mark.parametrize("block", [reports_module._TOP5_BLOCK, 7, 1])
+@pytest.mark.parametrize("block", [reports_module._ROW_BLOCK, 7, 1])
 def test_split_report_top5_blocks_add_up_to_the_whole_split(monkeypatch, block):
     """5,000 rows put every split across several top-5 blocks, the last
     one partial."""
-    monkeypatch.setattr(reports_module, "_TOP5_BLOCK", block)
+    monkeypatch.setattr(reports_module, "_ROW_BLOCK", block)
     scores, labels = _rounded_scores(5000, 50, seed=block)
     split = assign_splits([150] * 20 + [50] * 12 + [5] * 18)
     reference = _eight_call_split_report(scores, labels, split)
@@ -391,6 +392,66 @@ def test_split_report_working_memory_does_not_grow_with_the_splits():
     finally:
         tracemalloc.stop()
     assert peak - before < scores.nbytes / 4
+
+
+def _scattered_partition(n_test, d, seed):
+    """A 50-class bank and a dataset whose `n_test` test rows are scattered
+    among 100 train rows."""
+    rng = np.random.default_rng(seed)
+    split = assign_splits([150] * 20 + [50] * 12 + [5] * 18)
+    bank = ClassifierBank(rng.normal(size=(50, d)), rng.normal(size=50), split)
+    n = n_test + 100
+    partitions = rng.permutation(np.r_[np.full(n_test, 2), np.zeros(100)]).astype(np.uint8)
+    ds = FeatureDataset(rng.normal(size=(n, d)), rng.integers(0, 50, size=n), partitions, 50)
+    return bank, ds
+
+
+#: Test partition sizes and the row counts of the blocks `bank_report` scores.
+_BLOCK_CASES = [
+    (0, [0]),
+    (1, [1]),
+    (63, [63]),
+    (64, [64]),
+    (2047, [2047]),
+    (2048, [2048]),
+    (2049, [2049]),
+    (2111, [2111]),
+    (2112, [2048, 64]),
+    (4097, [2048, 2049]),
+]
+
+
+@pytest.mark.parametrize("d", [16, 64])
+@pytest.mark.parametrize("n_test, block_rows", _BLOCK_CASES, ids=[str(n) for n, _ in _BLOCK_CASES])
+def test_bank_report_equals_the_whole_matrix_report(n_test, block_rows, d):
+    """A remainder of fewer than 64 rows joins the block before it, and each
+    block's scores are the whole matrix's rows bit for bit."""
+    bank, ds = _scattered_partition(n_test, d, seed=n_test + d)
+    idx = ds.indices("test")
+    blocks = reports_module._row_blocks(idx.size)
+    assert [b.stop - b.start for b in blocks] == block_rows
+    whole = bank.scores(ds.features[idx])
+    for b in blocks:
+        assert bank.scores(ds.features[idx[b]]).tobytes() == whole[b].tobytes()
+    reference = split_report(whole, ds.labels[idx], bank.split)
+    report = bank_report(bank, ds, "test")
+    assert repr(report.to_dict()) == repr(reference.to_dict())
+    assert np.array_equal(report.predictions, reference.predictions)
+
+
+def test_bank_report_working_memory_does_not_grow_with_the_partition():
+    """40,000 test rows of 50 classes: the whole score matrix would take
+    16 MB, and a copy of the test features 5.1 MB."""
+    bank, ds = _scattered_partition(40_000, 16, seed=0)
+    scores_nbytes = 40_000 * 50 * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        bank_report(bank, ds, "test")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < scores_nbytes / 4
 
 
 # ---------------------------------------------------------------------------
@@ -635,8 +696,11 @@ def test_gamma_sweep_rows_and_determinism(tiny_run):
     assert [r.report.to_dict() for r in rows] == [r.report.to_dict() for r in again]
 
 
-def test_sweep_value_ranges_are_validated(tiny_run):
+def test_sweep_value_ranges_are_validated(tiny_run, monkeypatch):
     ds, bank, cfg = tiny_run
+    monkeypatch.setattr(reports_module, "run_training", None)  # nothing may train
+    with pytest.raises(ConfigError, match="unknown partition"):
+        gamma_sweep(bank, ds, cfg, [0.4], partition="nope")
     with pytest.raises(ConfigError):
         gamma_sweep(bank, ds, cfg, [0.0])
     with pytest.raises(ConfigError):
