@@ -214,37 +214,40 @@ def train_baseline(
 
     rng = np.random.default_rng(seed)
     n, d = ds.n_classes, ds.feature_dim
-    weights = np.zeros((n, d))
-    biases = np.zeros(n)
-    vel_w = np.zeros_like(weights)
-    vel_b = np.zeros_like(biases)
+    # [W | b] is one buffer, so that one step updates both.
+    params = np.zeros((n, d + 1))
+    velocity, grads = np.zeros_like(params), np.empty_like(params)
     n_train = train_idx.size
-    # Each epoch's shuffled train partition is gathered into these buffers
-    # once, and every batch is a view of them.
-    epoch_x, epoch_y = np.empty((n_train, d)), np.empty(n_train, dtype=np.int64)
+    # Each epoch's shuffled train partition is gathered once into the first
+    # d columns of this buffer, beside a column of ones that meets the bias
+    # column in the GEMMs; every batch is a view of it.
+    epoch_x, epoch_y = np.empty((n_train, d + 1)), np.empty(n_train, dtype=np.int64)
+    epoch_x[:, d] = 1.0
+    # A batch's scores, then its gradient, are the first rows of this
+    # buffer; row i's label score sits at flat index i * n + label.
+    scores = np.empty((min(batch_size, n_train), n))
+    flat_scores, row_starts = scores.reshape(-1), np.arange(0, scores.size, n)
     # The softmax probability of each sample's label: -log of it is the
     # sample's loss, so an entry that is 0 or NaN marks a diverged step.
     label_probs = np.empty(n_train)
-    rows = np.arange(min(batch_size, n_train))
 
     # A diverging step overflows to inf or NaN, which the check after each
     # epoch reports as a TrainingError; numpy's warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):
             order = train_idx[rng.permutation(n_train)]
-            np.take(ds.features, order, axis=0, out=epoch_x)
+            np.take(ds.features, order, axis=0, out=epoch_x[:, :d])
             np.take(ds.labels, order, out=epoch_y)
             for start in range(0, n_train, batch_size):
                 x, y = epoch_x[start : start + batch_size], epoch_y[start : start + batch_size]
-                r = rows[: y.size]
-                scores = x @ weights.T
-                scores += biases
-                g = softmax(scores)
-                label_probs[start : start + y.size] = g[r, y]
-                g[r, y] -= 1.0
+                g = scores[: y.size]
+                softmax(np.matmul(x, params.T, out=g), out=g)
+                label_at = row_starts[: y.size] + y
+                p = flat_scores[label_at]
+                label_probs[start : start + y.size] = p
+                flat_scores[label_at] = p - 1.0
                 g /= y.size
-                sgd_momentum_step(weights, g.T @ x, vel_w, lr, momentum)
-                sgd_momentum_step(biases, g.sum(axis=0), vel_b, lr, momentum)
+                sgd_momentum_step(params, np.matmul(g.T, x, out=grads), velocity, lr, momentum)
             # -log(p) is finite for 0 < p <= 1 and at most ~745 at the
             # smallest positive p, so "every p > 0" is "the epoch's summed
             # loss is finite".
@@ -254,8 +257,8 @@ def train_baseline(
                 raise TrainingError(f"baseline training diverged at epoch {epoch}, batch {batch}")
 
     return ClassifierBank(
-        weights=weights,
-        biases=biases,
+        weights=params[:, :d],
+        biases=params[:, d],
         split=split,
         provenance=f"baseline-logreg seed {seed}",
     )

@@ -174,8 +174,10 @@ class AlphaModel:
     """All sub-modules plus the frozen inputs they operate on.
 
     Everything is stacked along a leading few-class axis, in `few_ids` order.
-    `params` is the only parameter storage: (F, h, (K+1)d), (F, h),
-    (F, K+1, h) and (F, K+1). The frozen inputs are the neighbor ids
+    `params` holds the four parameter arrays (F, h, (K+1)d), (F, h),
+    (F, K+1, h) and (F, K+1) as views of one contiguous vector,
+    `flat_params`, the only parameter storage: a model copies the arrays it
+    is given into a buffer of its own. The frozen inputs are the neighbor ids
     `neighbors` (F, K), nearest first, their mean-feature `distances` (F, K)
     and the PCA-reduced classifiers `reduced` (F, K+1, d), target first. The
     full rows (F, K+1, D) and biases (F, K+1) that composition mixes are
@@ -194,6 +196,7 @@ class AlphaModel:
     params: list[np.ndarray]
     bank: ClassifierBank
     strict_alpha: bool = False
+    flat_params: np.ndarray = field(init=False, repr=False)
     full_rows: np.ndarray = field(init=False, repr=False)
     set_biases: np.ndarray = field(init=False, repr=False)
 
@@ -228,6 +231,9 @@ class AlphaModel:
                 raise IntegrityError(
                     f"neighbors {ids} of few class {target} are not distinct base classes"
                 )
+        self.flat_params = np.concatenate(self.params, axis=None, dtype=np.float64)
+        parts = np.split(self.flat_params, np.cumsum([np.size(p) for p in self.params])[:-1])
+        self.params = [part.reshape(shape) for part, shape in zip(parts, shapes[3:])]
         members = np.column_stack([np.array(few, dtype=np.int64), self.neighbors])
         self.full_rows = self.bank.weights[members]
         self.set_biases = self.bank.biases[members]
@@ -389,7 +395,7 @@ def loss_and_grads(
     labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[0] == 0:
         raise ShapeError(f"batch features must be 2-D and nonempty, got {features.shape}")
-    fc1_w, _, fc2_w, _ = model.params
+    fc2_w = model.params[2]
     pre, hidden, raw, norm, alpha = _alpha_forward(model)
     u, t = _linear_mix(alpha, model.full_rows, model.set_biases)
     few = model.bank.split.few_index
@@ -404,23 +410,24 @@ def loss_and_grads(
     g_raw = abs_normalize_vjp(raw, g_norm)
     g_fc2_w, g_hidden, g_fc2_b = affine_vjp(fc2_w, hidden, g_raw)
     g_pre = leaky_relu_vjp(pre, model.slope, g_hidden)
-    g_fc1_w, _, g_fc1_b = affine_vjp(fc1_w, model.flat_inputs, g_pre)
+    # The flat inputs are frozen, so their gradient is skipped.
+    g_fc1_w, _, g_fc1_b = affine_vjp(None, model.flat_inputs, g_pre)
     return loss, [g_fc1_w, g_fc1_b, g_fc2_w, g_fc2_b]
 
 
 def flatten_params(model: AlphaModel) -> np.ndarray:
-    return np.concatenate([p.ravel() for p in model.params])
+    """A copy of the model's parameter vector, in `model.params` order."""
+    return model.flat_params.copy()
 
 
 def set_params(model: AlphaModel, flat: np.ndarray) -> None:
+    """Overwrite the model's parameter vector with `flat`."""
     flat = np.asarray(flat, dtype=np.float64)
-    expected = sum(p.size for p in model.params)
-    if flat.shape != (expected,):
-        raise ShapeError(f"flat parameter vector {flat.shape} vs expected ({expected},)")
-    offset = 0
-    for p in model.params:
-        p[...] = flat[offset : offset + p.size].reshape(p.shape)
-        offset += p.size
+    if flat.shape != model.flat_params.shape:
+        raise ShapeError(
+            f"flat parameter vector {flat.shape} vs expected {model.flat_params.shape}"
+        )
+    model.flat_params[...] = flat
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +494,12 @@ def fit(
     split = model.bank.split
     val_x, val_y = ds.partition_arrays("val")
     train_idx = ds.indices("train")
-    params = model.params
-    velocities = [np.zeros_like(p) for p in params]
-    best_few_top1, best_epoch, best_params = -np.inf, -1, [p.copy() for p in params]
+    # One step per batch moves every parameter: the gradients are gathered
+    # into one vector laid out as `model.flat_params`.
+    params = model.flat_params
+    grads, velocity = np.empty_like(params), np.zeros_like(params)
+    # The model of the best epoch, a copy with its own parameter buffer.
+    best, best_few_top1, best_epoch = replace(model), -np.inf, -1
     log: list[dict] = []
 
     # A diverging step overflows to inf or NaN, which the loss and validation
@@ -504,20 +514,22 @@ def fit(
         for epoch in range(epochs):
             lr = lr0 * 0.1 ** (epoch // 20)
             order = sample_epoch(ds, split, rng, train_idx)
+            # The epoch's rows are gathered once; every batch is a view.
+            epoch_x, epoch_y = ds.features[order], ds.labels[order]
             loss_sum = 0.0
             for batch_index, start in enumerate(range(0, order.size, batch_size)):
-                batch = order[start : start + batch_size]
+                x, y = epoch_x[start : start + batch_size], epoch_y[start : start + batch_size]
                 try:
-                    loss, grads = loss_and_grads(model, ds.features[batch], ds.labels[batch])
+                    loss, stacked = loss_and_grads(model, x, y)
                 except NumericError as exc:
                     raise TrainingError(
                         f"training failed at epoch {epoch}, batch {batch_index}: {exc}"
                     ) from exc
-                loss_sum += loss * batch.size
-                for param, grad, vel in zip(params, grads, velocities):
-                    if weight_decay:
-                        grad = grad + weight_decay * param
-                    sgd_momentum_step(param, grad, vel, lr, momentum)
+                loss_sum += loss * y.size
+                np.concatenate(stacked, axis=None, out=grads)
+                if weight_decay:
+                    grads += weight_decay * params
+                sgd_momentum_step(params, grads, velocity, lr, momentum)
             u, t = _composed_few_rows(model)
             try:
                 report = validate(val_x @ u.T + t)
@@ -535,10 +547,10 @@ def fit(
                 on_epoch(entry)
             if few is not None and few.top1 > best_few_top1:
                 best_few_top1, best_epoch = few.top1, epoch
-                best_params = [p.copy() for p in params]
+                best.flat_params[...] = params
 
     return FitResult(
-        model=replace(model, params=best_params),
+        model=best,
         log=log,
         best_epoch=best_epoch,
         best_few_top1=best_few_top1,

@@ -116,9 +116,10 @@ def cap_floor_clamp(v: np.ndarray, cap: float, floor: float) -> np.ndarray:
 # output, and leading few-class axes carry through as in the forward calls.
 
 
-def affine_vjp(m: np.ndarray, v: np.ndarray, g: np.ndarray):
-    """Gradients of `affine(m, v, b)` with respect to m, v and b."""
-    g_v = np.matmul(np.swapaxes(m, -1, -2), g[..., None])[..., 0]
+def affine_vjp(m: np.ndarray | None, v: np.ndarray, g: np.ndarray):
+    """Gradients of `affine(m, v, b)` with respect to m, v and b. With `m`
+    None the gradient for v, an input that needs none, is skipped as None."""
+    g_v = None if m is None else np.matmul(np.swapaxes(m, -1, -2), g[..., None])[..., 0]
     return g[..., :, None] * v[..., None, :], g_v, g
 
 
@@ -141,11 +142,15 @@ def cap_floor_clamp_vjp(v: np.ndarray, out: np.ndarray, g: np.ndarray) -> np.nda
     return np.where(out == v, g, 0.0)
 
 
-def softmax(scores: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax along the last axis (max-subtraction)."""
+def softmax(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable softmax along the last axis (max-subtraction).
+
+    The result is built in `out` when given (which may be `scores` itself,
+    with the same bits), else in one new array.
+    """
     scores = np.asarray(scores, dtype=np.float64)
-    # One temporary: shifted, exponentiated and normalised in place.
-    out = scores - scores.max(axis=-1, keepdims=True)
+    # Shifted, exponentiated and normalised in place.
+    out = np.subtract(scores, scores.max(axis=-1, keepdims=True), out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
     return out

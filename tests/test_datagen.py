@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import alphanet.datagen
 from alphanet.data import FeatureDataset, assign_splits
 from alphanet.datagen import GenConfig, count_profile, generate, train_baseline
 from alphanet.errors import ConfigError, TrainingError
@@ -239,22 +240,48 @@ def _reference_train_baseline(ds, epochs=60, lr=0.5, seed=0, batch_size=64, mome
 
 
 @pytest.mark.parametrize(
-    "cfg, epochs",
+    "cfg, epochs, batch_size",
     [
-        (GenConfig(), 60),  # 4,022 train samples: 62 full batches and one of 54
-        (GenConfig(n_classes=12, head_count=80, tail_count=4, seed=2), 20),
-        (GenConfig(feature_dim=64, seed=5), 6),
+        (GenConfig(), 60, 64),  # 4,022 train samples: 62 full batches and one of 54
+        (GenConfig(n_classes=12, head_count=80, tail_count=4, seed=2), 20, 64),
+        (GenConfig(feature_dim=64, seed=5), 6, 64),
+        (GenConfig(decay_exponent=2.5, seed=1), 30, 64),
+        (GenConfig(), 1, 1),
+        (GenConfig(), 3, 7),
     ],
-    ids=["default", "small", "dim64"],
+    ids=["default", "small", "dim64", "tail-heavy", "batch1", "batch7"],
 )
-def test_baseline_bank_is_byte_identical_to_the_reference(cfg, epochs):
+def test_baseline_bank_is_byte_identical_to_the_reference(cfg, epochs, batch_size):
+    """The bias rides in the GEMMs as a column of [W | b] against a column of
+    ones, and the bank keeps the reference's bits at these shapes."""
     ds, _, _ = generate(cfg)
     n_train = ds.indices("train").size
-    assert n_train % 64 != 0  # the last batch of each epoch is partial
-    bank = train_baseline(ds, epochs=epochs, seed=3)
-    weights, biases = _reference_train_baseline(ds, epochs=epochs, seed=3)
+    # The last batch of each epoch is partial (a batch of one never is).
+    assert batch_size == 1 or n_train % batch_size != 0
+    bank = train_baseline(ds, epochs=epochs, seed=3, batch_size=batch_size)
+    weights, biases = _reference_train_baseline(ds, epochs=epochs, seed=3, batch_size=batch_size)
     assert bank.weights.tobytes() == weights.tobytes()
     assert bank.biases.tobytes() == biases.tobytes()
+
+
+def test_baseline_takes_one_optimizer_step_per_batch(monkeypatch):
+    ds, _, _ = generate(GenConfig(n_classes=10, head_count=120, tail_count=4, seed=4))
+    steps = []
+
+    def counted(params, grads, velocity, lr, momentum):
+        steps.append(params.shape)
+        return sgd_momentum_step(params, grads, velocity, lr, momentum)
+
+    sgd_momentum_step = alphanet.datagen.sgd_momentum_step
+    monkeypatch.setattr(alphanet.datagen, "sgd_momentum_step", counted)
+    epochs, batch_size = 3, 64
+    n_train = ds.indices("train").size
+    assert n_train % batch_size != 0
+    bank = train_baseline(ds, epochs=epochs, seed=0, batch_size=batch_size)
+    # One step on [W | b] per batch, partial last batch included.
+    shape = (ds.n_classes, ds.feature_dim + 1)
+    assert steps == [shape] * (epochs * -(-n_train // batch_size))
+    assert bank.weights.flags.c_contiguous and bank.biases.flags.c_contiguous
 
 
 def test_baseline_divergence_reports_epoch():

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from alphanet.data import ClassifierBank, FeatureDataset, assign_splits
 from alphanet.datagen import GenConfig, generate, train_baseline
+import alphanet.model
 from alphanet.errors import (
     ConfigError,
     DegenerateAlphaError,
@@ -337,6 +339,47 @@ def test_model_shape_bookkeeping():
     assert flatten_params(model).size == sum(p.size for p in model.params)
 
 
+def test_params_are_views_of_one_contiguous_vector():
+    ds, bank = _small_problem()
+    model = build_model(bank, ds, gamma=0.6, top_k=2, reduced_dim=3, hidden=5, seed=0)
+    flat = model.flat_params
+    assert flat.dtype == np.float64 and flat.ndim == 1 and flat.flags.c_contiguous
+    assert all(p.base is flat for p in model.params)
+    ends = np.cumsum([p.size for p in model.params])
+    flat[...] = np.arange(flat.size)
+    for p, end in zip(model.params, ends, strict=True):
+        assert np.array_equal(p.ravel(), np.arange(end - p.size, end))
+
+
+def test_flatten_and_set_params_round_trip_through_one_copy():
+    ds, bank = _small_problem()
+    model = build_model(bank, ds, gamma=0.6, top_k=2, reduced_dim=3, hidden=5, seed=0)
+    before = flatten_params(model)
+    assert before.tobytes() == np.concatenate([p.ravel() for p in model.params]).tobytes()
+    first = before[0]
+    before[0] += 1.0  # a copy: the model does not see it
+    assert flatten_params(model)[0] == model.params[0].flat[0] == first
+    target = np.random.default_rng(1).normal(size=before.size)
+    set_params(model, target)
+    assert flatten_params(model).tobytes() == target.tobytes()
+    assert model.submodules[-1].fc2_b.tobytes() == target[-model.top_k - 1 :].tobytes()
+    with pytest.raises(ShapeError):
+        set_params(model, target[:-1])
+
+
+def test_copied_and_loaded_models_own_their_parameter_buffers(tmp_path):
+    ds, bank = _small_problem()
+    model = build_model(bank, ds, top_k=2, reduced_dim=3, seed=0)
+    result = fit(model, ds, epochs=2, seed=0)
+    save_model(tmp_path / "model.json", model)
+    others = (result.model, replace(model), load_model(tmp_path / "model.json", bank))
+    for other in others:
+        assert other.flat_params.tobytes() == flatten_params(other).tobytes()
+        assert not np.shares_memory(other.flat_params, model.flat_params)
+    model.flat_params[...] = 0.0
+    assert all(np.any(other.flat_params != 0.0) for other in others)
+
+
 def test_alpha_model_rejects_mismatched_submodule_count():
     ds, bank = _small_problem()
     model = build_model(bank, ds, top_k=2, reduced_dim=3, seed=0)
@@ -562,6 +605,26 @@ def test_fit_reports_epoch_and_batch_of_a_nonfinite_loss():
     with pytest.raises(TrainingError, match="epoch 0, batch 0") as exc:
         fit(model, ds, epochs=1)
     assert isinstance(exc.value.__cause__, NumericError)
+
+
+def test_fit_takes_one_optimizer_step_per_batch(monkeypatch):
+    ds, bank = _small_problem()
+    model = build_model(bank, ds, top_k=2, reduced_dim=3, seed=0)
+    steps = []
+
+    def counted(params, grads, velocity, lr, momentum):
+        steps.append(params.shape)
+        return sgd_momentum_step(params, grads, velocity, lr, momentum)
+
+    sgd_momentum_step = alphanet.model.sgd_momentum_step
+    monkeypatch.setattr(alphanet.model, "sgd_momentum_step", counted)
+    epochs, batch_size = 3, 5
+    result = fit(model, ds, epochs=epochs, batch_size=batch_size, weight_decay=1e-3)
+    n_few = int(bank.split.is_few[ds.labels[ds.indices("train")]].sum())
+    batches = -(-2 * n_few // batch_size)
+    assert 2 * n_few % batch_size != 0  # the last batch of each epoch is partial
+    assert steps == [model.flat_params.shape] * (epochs * batches)
+    assert len(result.log) == epochs
 
 
 def test_fit_learning_rate_schedule():

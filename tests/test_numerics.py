@@ -195,6 +195,25 @@ def test_in_place_softmax_and_xent_match_the_reference_bits(seed, n, n_classes, 
     assert scores.tobytes() == before.tobytes()
 
 
+@settings(deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**31),
+    n=st.integers(1, 70),
+    n_classes=st.integers(1, 60),
+    scale=st.floats(0.1, 100.0),
+)
+def test_softmax_into_its_own_input_is_bit_equal(seed, n, n_classes, scale):
+    """`softmax(s, out=s)` overwrites the scores with the bits of `softmax(s)`."""
+    scores = np.random.default_rng(seed).normal(scale=scale, size=(n, n_classes))
+    expected = softmax(scores)
+    rows = scores.copy()
+    assert softmax(rows, out=rows) is rows
+    assert rows.tobytes() == expected.tobytes()
+    head = scores.copy()[: max(1, n // 2)]  # a row slice, as the baseline passes
+    softmax(head, out=head)
+    assert head.tobytes() == expected[: head.shape[0]].tobytes()
+
+
 def test_sgd_plain_step():
     params, _ = sgd_momentum_step(
         np.array([1.0]), np.array([2.0]), np.zeros(1), lr=0.1, momentum=0.0
@@ -325,6 +344,9 @@ def test_tape_affine_gradients(seed, f, r, n):
     b = rng.normal(size=(f, r))
     g = rng.normal(size=(f, r))
     g_m, g_v, g_b = affine_vjp(m, v, g)
+    skipped = affine_vjp(None, v, g)  # a frozen input: no gradient for v
+    assert skipped[1] is None
+    assert skipped[0].tobytes() == g_m.tobytes() and skipped[2].tobytes() == g_b.tobytes()
     _check_vjp(lambda x: affine(x, v, b), m, g, g_m)
     _check_vjp(lambda x: affine(m, x, b), v, g, g_v)
     _check_vjp(lambda x: affine(m, v, x), b, g, g_b)
