@@ -21,7 +21,7 @@ import numpy as np
 from .config import check_field_types
 from .data import FEW_LT, MANY_GT, ClassifierBank, FeatureDataset, SplitSpec, assign_splits
 from .errors import ConfigError, TrainingError
-from .numerics import sgd_momentum_step, softmax
+from .numerics import _softmax_xent, sgd_momentum_step
 
 
 @dataclass
@@ -218,15 +218,15 @@ def train_baseline(
     params = np.zeros((n, d + 1))
     velocity, grads = np.zeros_like(params), np.empty_like(params)
     n_train = train_idx.size
-    # Each epoch's shuffled train partition is gathered once into the first
-    # d columns of this buffer, beside a column of ones that meets the bias
-    # column in the GEMMs; every batch is a view of it.
-    epoch_x, epoch_y = np.empty((n_train, d + 1)), np.empty(n_train, dtype=np.int64)
-    epoch_x[:, d] = 1.0
-    # A batch's scores, then its gradient, are the first rows of this
-    # buffer; row i's label score sits at flat index i * n + label.
+    # The train partition beside a column of ones, which meets the bias
+    # column in the GEMMs. Each epoch's shuffle of it is gathered once into
+    # a contiguous buffer (so `take` needs no temporary), and every batch is
+    # a view of that.
+    train_x = np.column_stack([ds.features[train_idx], np.ones(n_train)])
+    train_y = ds.labels[train_idx]
+    epoch_x, epoch_y = np.empty_like(train_x), np.empty_like(train_y)
+    # A batch's scores, then its gradient, are the first rows of this buffer.
     scores = np.empty((min(batch_size, n_train), n))
-    flat_scores, row_starts = scores.reshape(-1), np.arange(0, scores.size, n)
     # The softmax probability of each sample's label: -log of it is the
     # sample's loss, so an entry that is 0 or NaN marks a diverged step.
     label_probs = np.empty(n_train)
@@ -235,17 +235,13 @@ def train_baseline(
     # epoch reports as a TrainingError; numpy's warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):
-            order = train_idx[rng.permutation(n_train)]
-            np.take(ds.features, order, axis=0, out=epoch_x[:, :d])
-            np.take(ds.labels, order, out=epoch_y)
+            order = rng.permutation(n_train)
+            np.take(train_x, order, axis=0, out=epoch_x, mode="clip")
+            np.take(train_y, order, out=epoch_y, mode="clip")
             for start in range(0, n_train, batch_size):
                 x, y = epoch_x[start : start + batch_size], epoch_y[start : start + batch_size]
-                g = scores[: y.size]
-                softmax(np.matmul(x, params.T, out=g), out=g)
-                label_at = row_starts[: y.size] + y
-                p = flat_scores[label_at]
-                label_probs[start : start + y.size] = p
-                flat_scores[label_at] = p - 1.0
+                g = np.matmul(x, params.T, out=scores[: y.size])
+                label_probs[start : start + y.size] = _softmax_xent(g, y)[2]
                 g /= y.size
                 sgd_momentum_step(params, np.matmul(g.T, x, out=grads), velocity, lr, momentum)
             # -log(p) is finite for 0 < p <= 1 and at most ~745 at the

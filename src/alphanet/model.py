@@ -498,6 +498,11 @@ def fit(
     # into one vector laid out as `model.flat_params`.
     params = model.flat_params
     grads, velocity = np.empty_like(params), np.zeros_like(params)
+    # Every epoch has the same length, twice the few-class train samples;
+    # its rows are gathered once into these buffers, and every batch is a
+    # view of them.
+    n_epoch = 2 * int(np.count_nonzero(split.is_few[ds.labels[train_idx]]))
+    epoch_x, epoch_y = np.empty((n_epoch, ds.feature_dim)), np.empty(n_epoch, dtype=np.int64)
     # The model of the best epoch, a copy with its own parameter buffer.
     best, best_few_top1, best_epoch = replace(model), -np.inf, -1
     log: list[dict] = []
@@ -514,8 +519,8 @@ def fit(
         for epoch in range(epochs):
             lr = lr0 * 0.1 ** (epoch // 20)
             order = sample_epoch(ds, split, rng, train_idx)
-            # The epoch's rows are gathered once; every batch is a view.
-            epoch_x, epoch_y = ds.features[order], ds.labels[order]
+            np.take(ds.features, order, axis=0, out=epoch_x, mode="clip")
+            np.take(ds.labels, order, out=epoch_y, mode="clip")
             loss_sum = 0.0
             for batch_index, start in enumerate(range(0, order.size, batch_size)):
                 x, y = epoch_x[start : start + batch_size], epoch_y[start : start + batch_size]

@@ -29,7 +29,6 @@ __all__ = [
     "leaky_relu_vjp",
     "abs_normalize_vjp",
     "cap_floor_clamp_vjp",
-    "softmax",
     "mean_softmax_xent",
     "sgd_momentum_step",
     "finite_diff_check",
@@ -142,18 +141,24 @@ def cap_floor_clamp_vjp(v: np.ndarray, out: np.ndarray, g: np.ndarray) -> np.nda
     return np.where(out == v, g, 0.0)
 
 
-def softmax(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Numerically stable softmax along the last axis (max-subtraction).
-
-    The result is built in `out` when given (which may be `scores` itself,
-    with the same bits), else in one new array.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    # Shifted, exponentiated and normalised in place.
-    out = np.subtract(scores, scores.max(axis=-1, keepdims=True), out=out)
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
-    return out
+def _softmax_xent(g: np.ndarray, labels: np.ndarray):
+    """Softmax cross-entropy gradient of the C-contiguous (n, N) scores `g`,
+    in place: shift each row by its max, read the label scores, exponentiate
+    and normalise, read the label probabilities and subtract 1 at the labels.
+    `g` then holds n times the batch-mean gradient. Returns the shifted label
+    scores, the row sums of the exponentials, (n, 1), and the label
+    probabilities."""
+    g -= g.max(axis=-1, keepdims=True)
+    # Row i's label entry, at flat index i * N + label of a view of `g`.
+    flat = g.reshape(-1)
+    at = np.arange(0, flat.size, g.shape[1]) + labels
+    label_shifted = flat[at]
+    np.exp(g, out=g)
+    total = g.sum(axis=-1, keepdims=True)
+    g /= total
+    label_probs = flat[at]
+    flat[at] = label_probs - 1.0
+    return label_shifted, total, label_probs
 
 
 def mean_softmax_xent(scores: np.ndarray, labels) -> tuple[float, np.ndarray]:
@@ -172,19 +177,12 @@ def mean_softmax_xent(scores: np.ndarray, labels) -> tuple[float, np.ndarray]:
     n, n_classes = scores.shape
     if n and not (0 <= labels.min() and labels.max() < n_classes):
         raise ShapeError(f"mean_softmax_xent: labels must lie in [0, {n_classes})")
-    rows = np.arange(n)
-    # One temporary becomes the shifted scores, their exponentials and then
-    # the gradient, so the label's shifted score is read before `exp`.
-    grad = scores - scores.max(axis=-1, keepdims=True)
-    label_shifted = grad[rows, labels]
-    np.exp(grad, out=grad)
-    total = grad.sum(axis=-1, keepdims=True)
+    grad = scores.copy()
+    label_shifted, total, _ = _softmax_xent(grad, labels)
     losses = np.log(total[:, 0]) - label_shifted
     if not np.isfinite(losses).all():
         bad = int(np.argmax(~np.isfinite(losses)))
         raise NumericError(f"non-finite loss for sample {bad}")
-    grad /= total
-    grad[rows, labels] -= 1.0
     grad *= 1.0 / n
     return float(losses.mean()), grad
 

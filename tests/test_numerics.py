@@ -35,8 +35,8 @@ from alphanet.numerics import (
     leaky_relu,
     leaky_relu_vjp,
     mean_softmax_xent,
+    _softmax_xent,
     sgd_momentum_step,
-    softmax,
 )
 
 
@@ -144,7 +144,7 @@ def test_softmax_xent_loss_nonnegative_grad_sums_to_zero(seed, n):
 
 
 def _reference_softmax(scores):
-    """The out-of-place softmax body that `softmax` replaced."""
+    """The out-of-place softmax body that the in-place kernels replaced."""
     scores = np.asarray(scores, dtype=np.float64)
     shifted = scores - np.max(scores, axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -175,8 +175,9 @@ def _reference_mean_softmax_xent(scores, labels):
     edge=st.sampled_from(["random", "first", "last", "both"]),
 )
 def test_in_place_softmax_and_xent_match_the_reference_bits(seed, n, n_classes, scale, edge):
-    """`softmax` and `mean_softmax_xent` work in one temporary of their own;
-    their bits equal the out-of-place bodies, and the input is left as it was."""
+    """`_softmax_xent` works in its own buffer and `mean_softmax_xent` in one
+    temporary of its own; their bits equal the out-of-place bodies, and the
+    input of `mean_softmax_xent` is left as it was."""
     rng = np.random.default_rng(seed)
     scores = rng.normal(scale=scale, size=(n, n_classes))
     labels = rng.integers(n_classes, size=n)
@@ -186,8 +187,16 @@ def test_in_place_softmax_and_xent_match_the_reference_bits(seed, n, n_classes, 
         labels[-1] = n_classes - 1
     before = scores.copy()
 
-    assert softmax(scores).tobytes() == _reference_softmax(scores).tobytes()
-    assert softmax(scores[0]).tobytes() == _reference_softmax(scores[0]).tobytes()
+    rows = np.arange(n)
+    g = scores.copy()
+    label_shifted, total, label_probs = _softmax_xent(g, labels)
+    probs = _reference_softmax(scores)
+    assert label_probs.tobytes() == probs[rows, labels].tobytes()
+    probs[rows, labels] -= 1.0
+    assert g.tobytes() == probs.tobytes()
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    assert label_shifted.tobytes() == shifted[rows, labels].tobytes()
+    assert total.tobytes() == np.exp(shifted).sum(axis=-1, keepdims=True).tobytes()
     loss, grad = mean_softmax_xent(scores, labels)
     ref_loss, ref_grad = _reference_mean_softmax_xent(scores, labels)
     assert loss == ref_loss
@@ -203,15 +212,24 @@ def test_in_place_softmax_and_xent_match_the_reference_bits(seed, n, n_classes, 
     scale=st.floats(0.1, 100.0),
 )
 def test_softmax_into_its_own_input_is_bit_equal(seed, n, n_classes, scale):
-    """`softmax(s, out=s)` overwrites the scores with the bits of `softmax(s)`."""
-    scores = np.random.default_rng(seed).normal(scale=scale, size=(n, n_classes))
-    expected = softmax(scores)
+    """`_softmax_xent(s, labels)` overwrites the scores with the bits of the
+    reference softmax, less 1 at the labels, also on a row slice of a larger
+    buffer, as the baseline passes its last, partial batch."""
+    rng = np.random.default_rng(seed)
+    scores = rng.normal(scale=scale, size=(n, n_classes))
+    labels = rng.integers(n_classes, size=n)
+    expected = _reference_softmax(scores)
+    expected_probs = expected[np.arange(n), labels]
+    expected[np.arange(n), labels] -= 1.0
     rows = scores.copy()
-    assert softmax(rows, out=rows) is rows
+    assert _softmax_xent(rows, labels)[2].tobytes() == expected_probs.tobytes()
     assert rows.tobytes() == expected.tobytes()
-    head = scores.copy()[: max(1, n // 2)]  # a row slice, as the baseline passes
-    softmax(head, out=head)
-    assert head.tobytes() == expected[: head.shape[0]].tobytes()
+    m = max(1, n // 2)
+    buffer = np.vstack([scores, scores])
+    head = buffer[:m]
+    assert _softmax_xent(head, labels[:m])[2].tobytes() == expected_probs[:m].tobytes()
+    assert head.tobytes() == expected[:m].tobytes()
+    assert buffer[m:].tobytes() == np.vstack([scores, scores])[m:].tobytes()
 
 
 def test_sgd_plain_step():
