@@ -158,9 +158,20 @@ def _require_file(path: str | None, flag: str) -> Path:
     return p
 
 
+def _check_train_digest(ds, dataset: str, bank, path: str) -> None:
+    """A bank that records the digest of its train partition pairs only with
+    a dataset whose train partition has the same one."""
+    if bank.train_digest not in (None, ds.train_digest()):
+        raise IntegrityError(
+            f"bank {path} was not trained on dataset {dataset}: "
+            "the digests of their train partitions differ"
+        )
+
+
 def _load_pair(dataset: str | None, bank: str | None):
     """Load `--dataset` and `--bank`; the bank must carry the split that the
-    dataset's train counts give, the one `baseline` would have stored."""
+    dataset's train counts give, the one `baseline` would have stored, and
+    the dataset's train digest when it records one."""
     ds = load_dataset(_require_file(dataset, "--dataset"))
     classifiers = load_bank(_require_file(bank, "--bank"))
     if ds.split() != classifiers.split:
@@ -168,6 +179,7 @@ def _load_pair(dataset: str | None, bank: str | None):
             f"bank {bank} was not trained on the split of dataset {dataset}: "
             "their per-class train counts or split labels differ"
         )
+    _check_train_digest(ds, dataset, classifiers, bank)
     return ds, classifiers
 
 
@@ -300,6 +312,7 @@ def cmd_eval(args) -> None:
             f"composed bank {args.composed} was not built from {args.bank}: "
             "their splits or base-class rows differ"
         )
+    _check_train_digest(ds, args.dataset, composed, args.composed)
     # Each report scores the partition in row blocks and keeps only its top-1
     # predictions, which the classwise table reads.
     baseline = bank_report(bank, ds, args.partition)

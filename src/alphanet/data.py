@@ -18,6 +18,7 @@ so readers never observe a partial file.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -161,15 +162,21 @@ class ClassifierBank:
     """Per-class weight vectors and biases of a frozen linear classifier layer.
 
     Row j of `weights` scores class j: score = x . weights[j] + biases[j].
+    `train_digest` is the `FeatureDataset.train_digest` of the data the bank
+    was trained on, or None when that is not recorded.
     """
 
     weights: np.ndarray
     biases: np.ndarray
     split: SplitSpec
     provenance: str = ""
+    train_digest: str | None = None
 
     def __post_init__(self):
-        check_field_types(self, ("provenance",), IntegrityError)
+        check_field_types(self, ("provenance", "train_digest"), IntegrityError)
+        digest = self.train_digest
+        if digest is not None and not (len(digest) == 64 and set(digest) <= set("0123456789abcdef")):
+            raise IntegrityError(f"train_digest must be 64 lowercase hex digits, got {digest!r}")
         self.weights = np.ascontiguousarray(self.weights, dtype=np.float64)
         self.biases = np.ascontiguousarray(self.biases, dtype=np.float64)
         n = self.split.n_classes
@@ -282,6 +289,14 @@ class FeatureDataset:
     def split(self) -> SplitSpec:
         """Many/medium/few labels from the train counts and this dataset's thresholds."""
         return assign_splits(self.train_counts(), self.many_gt, self.few_lt)
+
+    def train_digest(self) -> str:
+        """SHA-256 of the train partition's features and labels, in sample
+        order, as little-endian binary64 and int64."""
+        idx = self.indices(TRAIN)
+        digest = hashlib.sha256(self.features[idx].astype("<f8", copy=False))
+        digest.update(self.labels[idx].astype("<i8", copy=False))
+        return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +439,14 @@ def save_bank(path, bank: ClassifierBank) -> None:
             "splits": list(bank.split.labels),
             "counts": list(bank.split.train_counts),
             "provenance": bank.provenance,
+            "train_digest": bank.train_digest,
         },
     )
 
 
 def load_bank(path) -> ClassifierBank:
-    """Inverse of `save_bank`."""
+    """Inverse of `save_bank`. A manifest without `train_digest` loads with
+    None there."""
 
     def shapes(m):
         return {"weights": (m["n_classes"], m["feature_dim"]), "biases": (m["n_classes"],)}
@@ -440,6 +457,7 @@ def load_bank(path) -> ClassifierBank:
             biases=t["biases"],
             split=SplitSpec(labels=tuple(m["splits"]), train_counts=tuple(m["counts"])),
             provenance=m.get("provenance", ""),
+            train_digest=m.get("train_digest"),
         )
 
 

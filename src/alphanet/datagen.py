@@ -194,10 +194,11 @@ def train_baseline(
     the naturally imbalanced train partition, then freeze it.
 
     Training on the imbalanced joint distribution leaves the few-class rows
-    under-fit on purpose. The bank carries the dataset's own split.
-    Deterministic given the seed. A step that leaves some sample's label
-    probability 0 or NaN (an infinite loss) is a TrainingError naming the
-    epoch and the batch of the first such sample, raised at the epoch's end.
+    under-fit on purpose. The bank carries the dataset's own split and its
+    `train_digest`. Deterministic given the seed. A step that leaves some
+    sample's label probability 0 or NaN (an infinite loss) is a
+    TrainingError naming the epoch and the batch of the first such sample,
+    raised at the epoch's end.
     """
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
@@ -257,4 +258,5 @@ def train_baseline(
         biases=params[:, d],
         split=split,
         provenance=f"baseline-logreg seed {seed}",
+        train_digest=ds.train_digest(),
     )

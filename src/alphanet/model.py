@@ -351,7 +351,8 @@ def _composed_few_rows(model: AlphaModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def export_composed(model: AlphaModel) -> ComposedBank:
-    """Deterministic forward pass for all few classes; base rows copied verbatim."""
+    """Deterministic forward pass for all few classes; base rows, the split
+    and the train digest copied verbatim."""
     bank = model.bank
     weights = bank.weights.copy()
     biases = bank.biases.copy()
@@ -363,6 +364,7 @@ def export_composed(model: AlphaModel) -> ComposedBank:
         biases=biases,
         split=bank.split,
         provenance=f"composed(gamma={model.gamma:g}, k={model.top_k}) from [{bank.provenance}]",
+        train_digest=bank.train_digest,
     )
 
 
@@ -481,7 +483,8 @@ def fit(
     parameters from the epoch with the best few-split validation top-1 (ties
     keep the earlier epoch).
 
-    The learning rate decays by 0.1 every 20 epochs. The per-epoch log
+    The learning rate decays by 0.1 every 20 epochs; a schedule that reaches
+    0 before its last epoch is a ConfigError. The per-epoch log
     records mean training loss, the learning rate, and validation top-1/top-5
     for each split. A non-finite loss is a TrainingError naming its epoch and
     batch, and a non-finite few-class validation score one naming its epoch.
@@ -490,6 +493,13 @@ def fit(
 
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
+    # The rate underflows to 0 within a few hundred decays, which ends this scan.
+    zero_at = next((e for e in range(0, epochs, 20) if not lr0 * 0.1 ** (e // 20) > 0.0), None)
+    if zero_at is not None:
+        raise ConfigError(
+            f"lr0 {lr0:g} decays to a learning rate of 0 at epoch {zero_at} of {epochs}: "
+            "raise lr0 or lower epochs"
+        )
     rng = np.random.default_rng(seed)
     split = model.bank.split
     val_x, val_y = ds.partition_arrays("val")

@@ -489,6 +489,25 @@ def test_rejected_command_creates_no_output_directory(pipeline, tmp_path, capsys
     assert not out.exists()
 
 
+def test_exit_1_for_a_learning_rate_that_decays_to_zero(pipeline, tmp_path, capsys):
+    """lr0 1e-300 decays by 0.1 every 20 epochs to 0.0 at epoch 480: `fit`
+    refuses the schedule before any epoch runs."""
+    out = tmp_path / "out"
+    rc = main([
+        "train", "--dataset", str(pipeline["data"] / "dataset.json"),
+        "--bank", str(pipeline["base"] / "bank.json"), "--out-dir", str(out),
+        "--lr0", "1e-300", "--epochs", "500", "--top-k", "2", "--reduced-dim", "4",
+    ])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == (
+        "error: lr0 1e-300 decays to a learning rate of 0 at epoch 480 of 500: "
+        "raise lr0 or lower epochs\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_exit_2_for_corrupt_tensor_file(pipeline, tmp_path, capsys):
     data_copy = tmp_path / "data"
     shutil.copytree(pipeline["data"], data_copy)
@@ -570,6 +589,64 @@ def test_exit_2_for_a_bank_from_another_split(pipeline, tmp_path, capsys):
         err = capsys.readouterr().err
         assert "split" in err and dataset in err and bank in err
         assert not (tmp_path / "out").exists()
+
+
+def test_exit_2_for_a_bank_trained_on_other_data_of_the_same_split(pipeline, tmp_path, capsys):
+    """The fixture's dataset drawn with another seed has the same train
+    counts, so the same split, but another train digest than the one the
+    fixture's bank records: train, eval and sweep refuse the pair."""
+    data = tmp_path / "data"
+    assert main([
+        "datagen", "--out-dir", str(data), "--n-classes", "12",
+        "--feature-dim", "6", "--head-count", "80", "--tail-count", "4",
+        "--val-per-class", "8", "--test-per-class", "8", "--seed", "2",
+    ]) == 0
+    assert load_dataset(data / "dataset.json").split() == load_bank(
+        pipeline["base"] / "bank.json"
+    ).split
+    dataset, bank = str(data / "dataset.json"), str(pipeline["base"] / "bank.json")
+    run = ["--dataset", dataset, "--bank", bank, "--out-dir", str(tmp_path / "out")]
+    for argv in (
+        ["train", *run, "--epochs", "1", "--top-k", "2", "--reduced-dim", "4"],
+        ["eval", *run, "--composed", str(pipeline["run"] / "composed.json")],
+        ["sweep", *run, "--epochs", "1", "--top-k", "2", "--reduced-dim", "4",
+         "--axis", "gamma", "--grid", "0.5"],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: bank {bank} was not trained on dataset {dataset}: "
+            "the digests of their train partitions differ\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+
+def test_train_digest_pairs_a_bank_that_records_none(pipeline, tmp_path, capsys):
+    """A bank and a composed bank without `train_digest` still pair, and eval
+    refuses a composed bank whose digest is not the dataset's."""
+    base, run = tmp_path / "base", tmp_path / "run"
+    shutil.copytree(pipeline["base"], base)
+    shutil.copytree(pipeline["run"], run)
+    dataset = str(pipeline["data"] / "dataset.json")
+    for manifest in (base / "bank.json", run / "composed.json"):
+        m = json.loads(manifest.read_text())
+        assert m.pop("train_digest") == load_dataset(dataset).train_digest()
+        manifest.write_text(json.dumps(m))
+    pair = ["--dataset", dataset, "--bank", str(base / "bank.json")]
+    composed = str(run / "composed.json")
+    assert main(["train", *pair, "--out-dir", str(tmp_path / "t"), "--epochs", "1",
+                 "--top-k", "2", "--reduced-dim", "4"]) == 0
+    assert main(["eval", *pair, "--composed", composed, "--out-dir", str(tmp_path / "e")]) == 0
+
+    m = json.loads((run / "composed.json").read_text())
+    (run / "composed.json").write_text(json.dumps(m | {"train_digest": "0" * 64}))
+    capsys.readouterr()
+    assert main(["eval", *pair, "--composed", composed, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: bank {composed} was not trained on dataset {dataset}: "
+        "the digests of their train partitions differ\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_2_for_eval_against_another_baseline(pipeline, tmp_path, capsys):

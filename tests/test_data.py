@@ -266,6 +266,25 @@ def test_bank_round_trip(tmp_path):
     assert back.provenance == bank.provenance
 
 
+def test_train_digest_reads_the_train_partition_and_round_trips(tmp_path):
+    ds = _random_dataset(np.random.default_rng(3))
+    digest = ds.train_digest()
+    val = ds.indices("val")[0]
+    ds.features[val] += 1.0
+    assert ds.train_digest() == digest
+    ds.features[ds.indices("train")[0]] += 1.0
+    assert ds.train_digest() != digest
+
+    bank = _random_bank(np.random.default_rng(1))
+    assert bank.train_digest is None
+    bank.train_digest = digest
+    save_bank(tmp_path / "bank.json", bank)
+    assert load_bank(tmp_path / "bank.json").train_digest == digest
+    for bad in ("x", digest.upper(), digest[:-1]):
+        with pytest.raises(IntegrityError, match="train_digest"):
+            ClassifierBank(bank.weights, bank.biases, bank.split, train_digest=bad)
+
+
 def test_bank_unicode_provenance_survives(tmp_path):
     bank = _random_bank(np.random.default_rng(2))
     bank.provenance = "baseline — séance ✓ αβγ"

@@ -746,6 +746,24 @@ def test_export_composed_is_deterministic():
     assert "gamma=0.6" in a.provenance and "k=2" in a.provenance
 
 
+def test_baseline_and_composed_banks_carry_the_train_digest():
+    ds, bank = _small_problem()
+    assert bank.train_digest == ds.train_digest()
+    model = build_model(bank, ds, top_k=2, reduced_dim=3, seed=0)
+    assert export_composed(model).train_digest == bank.train_digest
+
+
+def test_fit_refuses_a_schedule_that_decays_to_zero():
+    """At the default lr0 the step decay reaches 0.0 at epoch 6460; the
+    schedule is refused before any epoch runs."""
+    ds, bank = _small_problem()
+    model = build_model(bank, ds, top_k=2, reduced_dim=3, seed=0)
+    before = flatten_params(model)
+    with pytest.raises(ConfigError, match="at epoch 6460 of 6461"):
+        fit(model, ds, epochs=6461)
+    assert flatten_params(model).tobytes() == before.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Snapshot serialization
 
