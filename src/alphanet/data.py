@@ -51,6 +51,7 @@ TRAIN, VAL, TEST = "train", "val", "test"
 PARTITION_CODES = {TRAIN: 0, VAL: 1, TEST: 2}
 
 _F64_LE = np.dtype("<f8")
+_HEX = "0123456789abcdef"
 
 #: Default split thresholds, the standard long-tailed benchmark values:
 #: many > MANY_GT train samples, few < FEW_LT.
@@ -175,7 +176,7 @@ class ClassifierBank:
     def __post_init__(self):
         check_field_types(self, ("provenance", "train_digest"), IntegrityError)
         digest = self.train_digest
-        if digest is not None and not (len(digest) == 64 and set(digest) <= set("0123456789abcdef")):
+        if digest is not None and (len(digest) != 64 or not set(digest) <= set(_HEX)):
             raise IntegrityError(f"train_digest must be 64 lowercase hex digits, got {digest!r}")
         self.weights = np.ascontiguousarray(self.weights, dtype=np.float64)
         self.biases = np.ascontiguousarray(self.biases, dtype=np.float64)
@@ -294,7 +295,7 @@ class FeatureDataset:
         """SHA-256 of the train partition's features and labels, in sample
         order, as little-endian binary64 and int64."""
         idx = self.indices(TRAIN)
-        digest = hashlib.sha256(self.features[idx].astype("<f8", copy=False))
+        digest = hashlib.sha256(self.features[idx].astype(_F64_LE, copy=False))
         digest.update(self.labels[idx].astype("<i8", copy=False))
         return digest.hexdigest()
 

@@ -211,7 +211,9 @@ def train_baseline(
     train_idx = ds.indices("train")
     if train_idx.size == 0:
         raise ConfigError("train partition is empty")
-    split = ds.split()
+    # The digest's copy of the train partition is freed before the training
+    # buffers are allocated.
+    split, train_digest = ds.split(), ds.train_digest()
 
     rng = np.random.default_rng(seed)
     n, d = ds.n_classes, ds.feature_dim
@@ -223,7 +225,8 @@ def train_baseline(
     # column in the GEMMs. Each epoch's shuffle of it is gathered once into
     # a contiguous buffer (so `take` needs no temporary), and every batch is
     # a view of that.
-    train_x = np.column_stack([ds.features[train_idx], np.ones(n_train)])
+    train_x = np.empty((n_train, d + 1))
+    train_x[:, :d], train_x[:, d] = ds.features[train_idx], 1.0
     train_y = ds.labels[train_idx]
     epoch_x, epoch_y = np.empty_like(train_x), np.empty_like(train_y)
     # A batch's scores, then its gradient, are the first rows of this buffer.
@@ -258,5 +261,5 @@ def train_baseline(
         biases=params[:, d],
         split=split,
         provenance=f"baseline-logreg seed {seed}",
-        train_digest=ds.train_digest(),
+        train_digest=train_digest,
     )
