@@ -18,7 +18,6 @@ so readers never observe a partial file.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -294,6 +293,10 @@ class FeatureDataset:
     def train_digest(self) -> str:
         """SHA-256 of the train partition's features and labels, in sample
         order, as little-endian binary64 and int64."""
+        # Imported here: hashlib loads OpenSSL, which `import alphanet` would
+        # pay for on every interpreter start.
+        import hashlib
+
         idx = self.indices(TRAIN)
         digest = hashlib.sha256(self.features[idx].astype(_F64_LE, copy=False))
         digest.update(self.labels[idx].astype("<i8", copy=False))
