@@ -211,8 +211,8 @@ def train_baseline(
     train_idx = ds.indices("train")
     if train_idx.size == 0:
         raise ConfigError("train partition is empty")
-    # The digest's copy of the train partition is freed before the training
-    # buffers are allocated.
+    # Taken before the training buffers exist, so that its copy of the train
+    # partition does not add to their peak memory.
     split, train_digest = ds.split(), ds.train_digest()
 
     rng = np.random.default_rng(seed)

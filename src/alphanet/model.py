@@ -484,7 +484,7 @@ def fit(
     keep the earlier epoch).
 
     The learning rate decays by 0.1 every 20 epochs; a schedule that reaches
-    0 before its last epoch is a ConfigError. The per-epoch log
+    0 by its last epoch is a ConfigError. The per-epoch log
     records mean training loss, the learning rate, and validation top-1/top-5
     for each split. A non-finite loss is a TrainingError naming its epoch and
     batch, and a non-finite few-class validation score one naming its epoch.
