@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -132,8 +133,9 @@ def _parse_grid(text: str, cast):
             lo, hi, step = (float(p) for p in parts)
         except ValueError:
             raise ConfigError(f"grid bounds must be numbers, got {text!r}") from None
-        if step <= 0 or hi < lo:
-            raise ConfigError(f"grid needs step > 0 and hi >= lo, got {text!r}")
+        # An infinite bound would never end the range, and a NaN would empty it.
+        if not (step > 0 and -math.inf < lo <= hi < math.inf):
+            raise ConfigError(f"grid needs step > 0 and finite hi >= lo, got {text!r}")
         values = []
         v = lo
         while v <= hi + 1e-9:

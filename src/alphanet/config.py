@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 from .errors import ConfigError
 
 # Accepted value types per field annotation. A bool is an int to Python, so
 # it is refused where a number is meant and is the only thing `bool` takes.
+# A `float` must also be finite: NaN passes every bound check.
 _SCALAR_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
@@ -19,7 +21,8 @@ def _has_type(value, kind: str) -> bool:
     if kind.startswith("list[") and kind.endswith("]"):
         return isinstance(value, list) and all(_has_type(v, kind[5:-1]) for v in value)
     is_bool = isinstance(value, bool)
-    return isinstance(value, _SCALAR_TYPES[kind]) and (kind == "bool" or not is_bool)
+    fits = isinstance(value, _SCALAR_TYPES[kind]) and (kind == "bool" or not is_bool)
+    return fits and (kind != "float" or -math.inf < value < math.inf)
 
 
 def check_field_types(cfg, names=None, error=ConfigError) -> None:

@@ -14,6 +14,7 @@ composition to have headroom.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from .config import check_field_types
 from .data import FEW_LT, MANY_GT, ClassifierBank, FeatureDataset, SplitSpec, assign_splits
 from .errors import ConfigError, TrainingError
-from .numerics import _softmax_xent, sgd_momentum_step
+from .numerics import _sgd_epochs, _softmax_xent
 
 
 @dataclass
@@ -202,8 +203,8 @@ def train_baseline(
     """
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
-    if lr <= 0.0:
-        raise ConfigError(f"lr must be positive, got {lr}")
+    if not 0.0 < lr < np.inf:
+        raise ConfigError(f"lr must be positive and finite, got {lr}")
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if not 0.0 <= momentum < 1.0:
@@ -219,35 +220,31 @@ def train_baseline(
     n, d = ds.n_classes, ds.feature_dim
     # [W | b] is one buffer, so that one step updates both.
     params = np.zeros((n, d + 1))
-    velocity, grads = np.zeros_like(params), np.empty_like(params)
+    grads = np.empty_like(params)
     n_train = train_idx.size
     # The train partition beside a column of ones, which meets the bias
-    # column in the GEMMs. Each epoch's shuffle of it is gathered once into
-    # a contiguous buffer (so `take` needs no temporary), and every batch is
-    # a view of that.
+    # column in the GEMMs.
     train_x = np.empty((n_train, d + 1))
     train_x[:, :d], train_x[:, d] = ds.features[train_idx], 1.0
-    train_y = ds.labels[train_idx]
-    epoch_x, epoch_y = np.empty_like(train_x), np.empty_like(train_y)
     # A batch's scores, then its gradient, are the first rows of this buffer.
     scores = np.empty((min(batch_size, n_train), n))
     # The softmax probability of each sample's label: -log of it is the
     # sample's loss, so an entry that is 0 or NaN marks a diverged step.
     label_probs = np.empty(n_train)
 
+    def batch_grads(epoch, start, x, y):
+        g = np.matmul(x, params.T, out=scores[: y.size])
+        label_probs[start : start + y.size] = _softmax_xent(g, y)[2]
+        g /= y.size
+        return np.matmul(g.T, x, out=grads)
+
     # A diverging step overflows to inf or NaN, which the check after each
     # epoch reports as a TrainingError; numpy's warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(epochs):
-            order = rng.permutation(n_train)
-            np.take(train_x, order, axis=0, out=epoch_x, mode="clip")
-            np.take(train_y, order, out=epoch_y, mode="clip")
-            for start in range(0, n_train, batch_size):
-                x, y = epoch_x[start : start + batch_size], epoch_y[start : start + batch_size]
-                g = np.matmul(x, params.T, out=scores[: y.size])
-                label_probs[start : start + y.size] = _softmax_xent(g, y)[2]
-                g /= y.size
-                sgd_momentum_step(params, np.matmul(g.T, x, out=grads), velocity, lr, momentum)
+        for epoch, _ in _sgd_epochs(
+            params, batch_grads, lambda: rng.permutation(n_train), train_x,
+            ds.labels[train_idx], n_train, batch_size, itertools.repeat(lr, epochs), momentum,
+        ):
             # -log(p) is finite for 0 < p <= 1 and at most ~745 at the
             # smallest positive p, so "every p > 0" is "the epoch's summed
             # loss is finite".

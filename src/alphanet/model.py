@@ -22,7 +22,6 @@ from .data import (
     ClassifierBank,
     ComposedBank,
     FeatureDataset,
-    SplitSpec,
     _atomic_write_bytes,
     _read_bundle,
     _write_bundle,
@@ -38,8 +37,8 @@ from .numerics import (
     cap_floor_clamp_vjp,
     leaky_relu,
     leaky_relu_vjp,
-    mean_softmax_xent,
-    sgd_momentum_step,
+    _sgd_epochs,
+    _softmax_xent,
 )
 
 STAGES = ("raw", "normalized", "clamped")
@@ -397,13 +396,23 @@ def loss_and_grads(
     labels = np.asarray(labels)
     if features.ndim != 2 or features.shape[0] == 0:
         raise ShapeError(f"batch features must be 2-D and nonempty, got {features.shape}")
+    n, n_classes = features.shape[0], model.bank.n_classes
+    # An out-of-range label would read another row's score in the kernel.
+    if labels.shape != (n,) or not (0 <= labels.min() and labels.max() < n_classes):
+        raise ShapeError(f"labels must be {n} class ids in [0, {n_classes})")
     fc2_w = model.params[2]
     pre, hidden, raw, norm, alpha = _alpha_forward(model)
     u, t = _linear_mix(alpha, model.full_rows, model.set_biases)
     few = model.bank.split.few_index
-    scores = model.bank.scores(features)
-    scores[:, few] = features @ u.T + t
-    loss, g_scores = mean_softmax_xent(scores, labels)
+    # The kernel turns the scores into n times their gradient, in place.
+    g_scores = model.bank.scores(features)
+    g_scores[:, few] = features @ u.T + t
+    label_shifted, total, _ = _softmax_xent(g_scores, labels)
+    losses = np.log(total[:, 0]) - label_shifted
+    if not np.isfinite(losses).all():
+        bad = int(np.argmax(~np.isfinite(losses)))
+        raise NumericError(f"non-finite loss for sample {bad}")
+    g_scores *= 1.0 / n
 
     # Backward through each stage in reverse.
     g_u, g_t = _few_scores_vjp(g_scores, few, features)
@@ -414,7 +423,7 @@ def loss_and_grads(
     g_pre = leaky_relu_vjp(pre, model.slope, g_hidden)
     # The flat inputs are frozen, so their gradient is skipped.
     g_fc1_w, _, g_fc1_b = affine_vjp(None, model.flat_inputs, g_pre)
-    return loss, [g_fc1_w, g_fc1_b, g_fc2_w, g_fc2_b]
+    return float(losses.mean()), [g_fc1_w, g_fc1_b, g_fc2_w, g_fc2_b]
 
 
 def flatten_params(model: AlphaModel) -> np.ndarray:
@@ -437,18 +446,12 @@ def set_params(model: AlphaModel, flat: np.ndarray) -> None:
 
 
 def sample_epoch(
-    ds: FeatureDataset,
-    split: SplitSpec,
-    rng: np.random.Generator,
-    train_idx: np.ndarray,
+    rng: np.random.Generator, few_idx: np.ndarray, base_idx: np.ndarray
 ) -> np.ndarray:
-    """All few-class samples among `train_idx` (`ds.indices("train")`) plus an
-    equal number of base samples drawn uniformly without replacement,
-    shuffled. Redrawn every epoch.
+    """All of the few-class samples `few_idx` plus an equal number of the
+    base samples `base_idx`, drawn uniformly without replacement, shuffled.
+    Redrawn every epoch.
     """
-    is_few = split.is_few[ds.labels[train_idx]]
-    few_idx = train_idx[is_few]
-    base_idx = train_idx[~is_few]
     if base_idx.size < few_idx.size:
         raise ConfigError(
             f"need at least as many base train samples ({base_idx.size}) "
@@ -504,18 +507,30 @@ def fit(
     split = model.bank.split
     val_x, val_y = ds.partition_arrays("val")
     train_idx = ds.indices("train")
+    is_few = split.is_few[ds.labels[train_idx]]
+    few_idx, base_idx = train_idx[is_few], train_idx[~is_few]
     # One step per batch moves every parameter: the gradients are gathered
     # into one vector laid out as `model.flat_params`.
     params = model.flat_params
-    grads, velocity = np.empty_like(params), np.zeros_like(params)
-    # Every epoch has the same length, twice the few-class train samples;
-    # its rows are gathered once into these buffers, and every batch is a
-    # view of them.
-    n_epoch = 2 * int(np.count_nonzero(split.is_few[ds.labels[train_idx]]))
-    epoch_x, epoch_y = np.empty((n_epoch, ds.feature_dim)), np.empty(n_epoch, dtype=np.int64)
+    grads = np.empty_like(params)
     # The model of the best epoch, a copy with its own parameter buffer.
     best, best_few_top1, best_epoch = replace(model), -np.inf, -1
     log: list[dict] = []
+    loss_sum = 0.0
+
+    def batch_grads(epoch, start, x, y):
+        nonlocal loss_sum
+        try:
+            loss, stacked = loss_and_grads(model, x, y)
+        except NumericError as exc:
+            raise TrainingError(
+                f"training failed at epoch {epoch}, batch {start // batch_size}: {exc}"
+            ) from exc
+        loss_sum += loss * y.size
+        g = np.concatenate(stacked, axis=None, out=grads)
+        if weight_decay:
+            g += weight_decay * params
+        return g
 
     # A diverging step overflows to inf or NaN, which the loss and validation
     # checks report as a TrainingError; numpy's warnings would only repeat it.
@@ -526,25 +541,12 @@ def fit(
         # scores against the frozen bank are computed and ranked once, and
         # each epoch scores and ranks only the few-class columns.
         validate = _FewColumnReport(model.bank.scores(val_x), val_y, split)
-        for epoch in range(epochs):
-            lr = lr0 * 0.1 ** (epoch // 20)
-            order = sample_epoch(ds, split, rng, train_idx)
-            np.take(ds.features, order, axis=0, out=epoch_x, mode="clip")
-            np.take(ds.labels, order, out=epoch_y, mode="clip")
-            loss_sum = 0.0
-            for batch_index, start in enumerate(range(0, order.size, batch_size)):
-                x, y = epoch_x[start : start + batch_size], epoch_y[start : start + batch_size]
-                try:
-                    loss, stacked = loss_and_grads(model, x, y)
-                except NumericError as exc:
-                    raise TrainingError(
-                        f"training failed at epoch {epoch}, batch {batch_index}: {exc}"
-                    ) from exc
-                loss_sum += loss * y.size
-                np.concatenate(stacked, axis=None, out=grads)
-                if weight_decay:
-                    grads += weight_decay * params
-                sgd_momentum_step(params, grads, velocity, lr, momentum)
+        # Every epoch has the same length, twice the few-class train samples.
+        for epoch, lr in _sgd_epochs(
+            params, batch_grads, lambda: sample_epoch(rng, few_idx, base_idx), ds.features,
+            ds.labels, 2 * few_idx.size, batch_size,
+            (lr0 * 0.1 ** (epoch // 20) for epoch in range(epochs)), momentum,
+        ):
             u, t = _composed_few_rows(model)
             try:
                 report = validate(val_x @ u.T + t)
@@ -553,10 +555,11 @@ def fit(
             few = report.accuracy("few")
             entry = {
                 "epoch": epoch,
-                "loss": loss_sum / order.size,
+                "loss": loss_sum / (2 * few_idx.size),
                 "lr": lr,
                 "val": report.to_dict(),
             }
+            loss_sum = 0.0
             log.append(entry)
             if on_epoch is not None:
                 on_epoch(entry)

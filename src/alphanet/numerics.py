@@ -4,11 +4,12 @@ Conventions: a vector is a 1-D float64 ndarray, a matrix a 2-D row-major
 float64 ndarray. `affine`, `leaky_relu`, `abs_normalize` and
 `cap_floor_clamp` also accept a leading few-class axis, so one call runs the
 same step for every few class and gives each class the bits of its own
-per-vector call. Gradients are closed-form: `mean_softmax_xent` returns its
-own, and each of the other four steps has a `*_vjp` function that maps the
-gradient of its output to the gradients of its inputs; `model.loss_and_grads`
-chains them. `finite_diff_check` is the harness the tests use to certify them
-against central differences.
+per-vector call. Gradients are closed-form: `_softmax_xent` makes a score
+matrix its cross-entropy gradient in place, and each of the other four steps
+has a `*_vjp` function that maps the gradient of its output to the gradients
+of its inputs; `model.loss_and_grads` chains them. `_sgd_epochs` is the one
+epoch/batch loop of both trainers. `finite_diff_check` is the harness the
+tests use to certify the gradients against central differences.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "leaky_relu_vjp",
     "abs_normalize_vjp",
     "cap_floor_clamp_vjp",
-    "mean_softmax_xent",
     "sgd_momentum_step",
     "finite_diff_check",
 ]
@@ -161,32 +161,6 @@ def _softmax_xent(g: np.ndarray, labels: np.ndarray):
     return label_shifted, total, label_probs
 
 
-def mean_softmax_xent(scores: np.ndarray, labels) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy of row-wise softmax against integer labels, plus
-    its gradient with respect to `scores`.
-
-    Each row's loss is log-sum-exp minus the label's shifted score, which is
-    finite for any finite scores; the gradient is
-    ``(softmax(scores) - onehot(labels)) / n``, with the softmax built from
-    the same exponentials and row sums as the loss.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    if scores.ndim != 2 or labels.shape != scores.shape[:1]:
-        raise ShapeError(f"mean_softmax_xent: scores {scores.shape} vs labels {labels.shape}")
-    n, n_classes = scores.shape
-    if n and not (0 <= labels.min() and labels.max() < n_classes):
-        raise ShapeError(f"mean_softmax_xent: labels must lie in [0, {n_classes})")
-    grad = scores.copy()
-    label_shifted, total, _ = _softmax_xent(grad, labels)
-    losses = np.log(total[:, 0]) - label_shifted
-    if not np.isfinite(losses).all():
-        bad = int(np.argmax(~np.isfinite(losses)))
-        raise NumericError(f"non-finite loss for sample {bad}")
-    grad *= 1.0 / n
-    return float(losses.mean()), grad
-
-
 def sgd_momentum_step(
     params: np.ndarray,
     grads: np.ndarray,
@@ -195,8 +169,8 @@ def sgd_momentum_step(
     momentum: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One SGD step: v <- momentum*v + g; p <- p - lr*v. Updates in place."""
-    if lr <= 0.0:
-        raise ValueError(f"lr must be positive, got {lr}")
+    if not 0.0 < lr < np.inf:
+        raise ValueError(f"lr must be positive and finite, got {lr}")
     if not 0.0 <= momentum < 1.0:
         raise ValueError(f"momentum must be in [0, 1), got {momentum}")
     if params.shape != grads.shape:
@@ -207,6 +181,26 @@ def sgd_momentum_step(
     velocity += grads
     params -= lr * velocity
     return params, velocity
+
+
+def _sgd_epochs(params, batch_grads, draw, x, y, n_rows, batch_size, lrs, momentum):
+    """Momentum SGD on `params` in place, one epoch per learning rate in the
+    iterable `lrs`; yields each epoch's index and rate after its last step.
+    An epoch gathers the `n_rows` rows of `x` and `y` that `draw()` picks into
+    contiguous buffers allocated once (so `take` needs no temporary); each
+    batch is a view of them, and one step applies `batch_grads(epoch, start,
+    x, y)`."""
+    velocity = np.zeros_like(params)
+    epoch_x, epoch_y = np.empty((n_rows, x.shape[1])), np.empty(n_rows, dtype=y.dtype)
+    for epoch, lr in enumerate(lrs):
+        order = draw()
+        np.take(x, order, axis=0, out=epoch_x, mode="clip")
+        np.take(y, order, out=epoch_y, mode="clip")
+        for start in range(0, n_rows, batch_size):
+            stop = start + batch_size
+            grads = batch_grads(epoch, start, epoch_x[start:stop], epoch_y[start:stop])
+            sgd_momentum_step(params, grads, velocity, lr, momentum)
+        yield epoch, lr
 
 
 def finite_diff_check(

@@ -433,6 +433,8 @@ def test_exit_1_for_config_values_of_the_wrong_type(pipeline, tmp_path, capsys):
     for bad in (
         {"epochs": 2.5}, {"gamma": "0.5"}, {"seed": 1.5}, {"strict_alpha": "no"},
         {"strict_alpha": 1}, {"epochs": True}, {"hidden": 4.0},
+        # JSON's NaN and Infinity: a float setting must be finite.
+        {"lr0": float("nan")}, {"weight_decay": float("inf")},
     ):
         cfg_path.write_text(json.dumps(bad))
         assert main(train) == 1, bad
@@ -442,6 +444,7 @@ def test_exit_1_for_config_values_of_the_wrong_type(pipeline, tmp_path, capsys):
         {"feature_dim": "16"}, {"sigma": "0.9"}, {"n_groups": True}, {"n_classes": 50.5},
         {"rho": "abc"}, {"rho": [0.5, "x"]}, {"rho": [True]},
         {"explicit_counts": "x"}, {"explicit_counts": [150.7] + [150] * 49},
+        {"sigma": float("nan")}, {"rho": [0.5, float("-inf")]},
     ):
         cfg_path.write_text(json.dumps(bad))
         assert main(datagen) == 1, bad
@@ -462,19 +465,41 @@ def test_exit_1_for_a_config_file_that_is_not_utf8(tmp_path, capsys):
     assert err.startswith("error: ") and str(cfg_path) in err
 
 
+#: Train settings the fixture's dataset can train under, so that a refused
+#: flag is the only thing wrong with a command.
+TRAIN_SMALL = ("--epochs", "1", "--top-k", "2", "--reduced-dim", "4")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["sweep", "--axis", "topk", "--grid", "0:3:0.5"],
         ["sweep", "--axis", "topk", "--grid", "0,99", "--epochs", "1"],
+        ["sweep", "--axis", "gamma", "--grid", "0.5:nan:0.1", "--epochs", "1"],
         ["train", "--top-k", "99", "--epochs", "1"],
         ["datagen", "--few-lt", "3"],
         ["baseline", "--epochs", "-1"],
         # lr0 1e-300 decays by 0.1 every 20 epochs to 0.0 at epoch 480.
         ["train", "--lr0", "1e-300", "--epochs", "500", "--top-k", "2", "--reduced-dim", "4"],
+        # NaN passes every bound check, so a float setting must be finite.
+        ["baseline", "--lr", "nan"],
+        ["datagen", "--sigma", "nan"],
+        ["datagen", "--mean-scale", "inf"],
+        ["datagen", "--n-groups", "2", "--group-spread", "nan"],
+        ["datagen", "--decay-exponent", "nan"],
+        ["train", "--lr0", "nan", *TRAIN_SMALL],
+        ["train", "--lr0", "inf", *TRAIN_SMALL],
+        ["train", "--weight-decay", "nan", *TRAIN_SMALL],
+        ["train", "--weight-decay", "inf", *TRAIN_SMALL],
+        ["train", "--init-gain", "nan", *TRAIN_SMALL],
+        ["train", "--init-gain", "inf", *TRAIN_SMALL],
     ],
-    ids=["sweep-grid-fraction", "sweep-k-too-large", "train-k-too-large",
-         "datagen-no-few-class", "baseline-negative-epochs", "train-lr-decays-to-zero"],
+    ids=["sweep-grid-fraction", "sweep-k-too-large", "sweep-grid-to-nan", "train-k-too-large",
+         "datagen-no-few-class", "baseline-negative-epochs", "train-lr-decays-to-zero",
+         "baseline-lr-nan", "datagen-sigma-nan", "datagen-mean-scale-inf",
+         "datagen-group-spread-nan", "datagen-decay-exponent-nan", "train-lr0-nan",
+         "train-lr0-inf", "train-weight-decay-nan", "train-weight-decay-inf",
+         "train-init-gain-nan", "train-init-gain-inf"],
 )
 def test_rejected_command_creates_no_output_directory(pipeline, tmp_path, capsys, argv):
     dataset = ["--dataset", str(pipeline["data"] / "dataset.json")]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from alphanet.data import ClassifierBank, FeatureDataset, assign_splits
 from alphanet.datagen import GenConfig, generate, train_baseline
-import alphanet.model
+import alphanet.numerics
 from alphanet.errors import (
     ConfigError,
     DegenerateAlphaError,
@@ -548,11 +548,18 @@ def _long_tailed_ds(rng, counts):
     )
 
 
+def _few_and_base(ds, split):
+    """The few-class and the base train indices, as `fit` splits them once."""
+    train_idx = ds.indices("train")
+    is_few = split.is_few[ds.labels[train_idx]]
+    return train_idx[is_few], train_idx[~is_few]
+
+
 def test_sample_epoch_is_balanced():
     counts = [100, 60, 15, 10, 15, 10]  # few classes 2..5, 50 few samples
     split = assign_splits(counts)
     ds = _long_tailed_ds(np.random.default_rng(0), counts)
-    epoch = sample_epoch(ds, split, np.random.default_rng(1), ds.indices("train"))
+    epoch = sample_epoch(np.random.default_rng(1), *_few_and_base(ds, split))
     assert epoch.size == 100
     labels = ds.labels[epoch]
     few_mask = np.isin(labels, split.few_ids)
@@ -567,13 +574,16 @@ def test_sample_epoch_redraws_base_but_reproducibly():
     counts = [100, 60, 15, 10]
     split = assign_splits(counts)
     ds = _long_tailed_ds(np.random.default_rng(0), counts)
-    rng, train_idx = np.random.default_rng(42), ds.indices("train")
-    first = sample_epoch(ds, split, rng, train_idx)
-    second = sample_epoch(ds, split, rng, train_idx)
+    rng, (few_idx, base_idx) = np.random.default_rng(42), _few_and_base(ds, split)
+    first = sample_epoch(rng, few_idx, base_idx)
+    second = sample_epoch(rng, few_idx, base_idx)
     assert not np.array_equal(first, second)  # fresh base subset per epoch
     rng2 = np.random.default_rng(42)
-    assert np.array_equal(first, sample_epoch(ds, split, rng2, train_idx))
-    assert np.array_equal(second, sample_epoch(ds, split, rng2, train_idx))
+    assert np.array_equal(first, sample_epoch(rng2, few_idx, base_idx))
+    assert np.array_equal(second, sample_epoch(rng2, few_idx, base_idx))
+    # `fit` draws every epoch from one split, so a draw must leave it as it was.
+    for drawn_from, split_now in zip((few_idx, base_idx), _few_and_base(ds, split)):
+        assert np.array_equal(drawn_from, split_now)
 
 
 def test_sample_epoch_requires_enough_base_samples():
@@ -581,7 +591,7 @@ def test_sample_epoch_requires_enough_base_samples():
     split = assign_splits(counts)
     ds = _long_tailed_ds(np.random.default_rng(0), counts)
     with pytest.raises(ConfigError):
-        sample_epoch(ds, split, np.random.default_rng(0), ds.indices("train"))
+        sample_epoch(np.random.default_rng(0), *_few_and_base(ds, split))
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +626,9 @@ def test_fit_takes_one_optimizer_step_per_batch(monkeypatch):
         steps.append(params.shape)
         return sgd_momentum_step(params, grads, velocity, lr, momentum)
 
-    sgd_momentum_step = alphanet.model.sgd_momentum_step
-    monkeypatch.setattr(alphanet.model, "sgd_momentum_step", counted)
+    # The one call site is the trainers' shared loop in `numerics`.
+    sgd_momentum_step = alphanet.numerics.sgd_momentum_step
+    monkeypatch.setattr(alphanet.numerics, "sgd_momentum_step", counted)
     epochs, batch_size = 3, 5
     result = fit(model, ds, epochs=epochs, batch_size=batch_size, weight_decay=1e-3)
     n_few = int(bank.split.is_few[ds.labels[ds.indices("train")]].sum())

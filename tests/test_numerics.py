@@ -8,10 +8,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import alphanet.model
 from alphanet.data import ClassifierBank, assign_splits
 from alphanet.errors import DegenerateAlphaError, NumericError, ShapeError
 from alphanet.model import (
     AlphaModel,
+    _composed_few_rows,
     _few_scores_vjp,
     _linear_mix,
     _linear_mix_vjp,
@@ -35,7 +37,6 @@ from alphanet.numerics import (
     finite_diff_check,
     leaky_relu,
     leaky_relu_vjp,
-    mean_softmax_xent,
     sgd_momentum_step,
 )
 
@@ -105,9 +106,19 @@ def test_leaky_relu_rejects_bad_slope():
         leaky_relu(np.zeros(2), -0.1)
 
 
+def _mean_xent(scores, labels):
+    """`loss_and_grads`'s cross-entropy path on a copy of `scores`: the
+    in-place kernel, each row's log-sum-exp less its label's shifted score,
+    and the 1/n scale. Returns the mean loss and its gradient."""
+    grad = np.array(scores, dtype=np.float64)
+    label_shifted, total, _ = _softmax_xent(grad, np.asarray(labels))
+    grad *= 1.0 / grad.shape[0]
+    return float((np.log(total[:, 0]) - label_shifted).mean()), grad
+
+
 def _row_xent(scores, label):
-    """Loss and gradient of one score row, as a one-row `mean_softmax_xent`."""
-    loss, grad = mean_softmax_xent(np.asarray(scores)[None, :], [label])
+    """Loss and gradient of one score row, as a one-row `_mean_xent`."""
+    loss, grad = _mean_xent(np.asarray(scores)[None, :], [label])
     return loss, grad[0]
 
 
@@ -125,12 +136,18 @@ def test_softmax_xent_dominant_score():
 
 
 def test_softmax_xent_label_out_of_range():
-    # -1 would otherwise score the last column; N would index past the scores
-    for bad in (-1, 2):
-        with pytest.raises(ShapeError, match=r"\[0, 2\)"):
-            _row_xent(np.array([1.0, 2.0]), bad)
-        with pytest.raises(ShapeError):
-            mean_softmax_xent(np.array([[1.0, 2.0], [0.5, 0.0]]), [0, bad])
+    """`loss_and_grads` checks the labels before the kernel runs: -1 would
+    score the last column, and N, at the kernel's flat index i * N + label,
+    would silently read the next row's first score."""
+    model, x, y = _random_model(np.random.default_rng(0), 2, 1, 2, 3, _gamma(1, 0.5))
+    n_classes = model.bank.n_classes
+    for bad in (-1, n_classes):
+        labels = y.copy()
+        labels[0] = bad
+        with pytest.raises(ShapeError, match=rf"\[0, {n_classes}\)"):
+            loss_and_grads(model, x, labels)
+    with pytest.raises(ShapeError):
+        loss_and_grads(model, x, y[:-1])
 
 
 @given(seed=st.integers(0, 2**31), n=st.integers(2, 12))
@@ -152,7 +169,8 @@ def _reference_softmax(scores):
 
 
 def _reference_mean_softmax_xent(scores, labels):
-    """The out-of-place `mean_softmax_xent` body, its shape checks aside."""
+    """The out-of-place cross-entropy body that `loss_and_grads`' in-place
+    path replaced (once `mean_softmax_xent`), its shape checks aside."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     n = scores.shape[0]
@@ -175,9 +193,9 @@ def _reference_mean_softmax_xent(scores, labels):
     edge=st.sampled_from(["random", "first", "last", "both"]),
 )
 def test_in_place_softmax_and_xent_match_the_reference_bits(seed, n, n_classes, scale, edge):
-    """`_softmax_xent` works in its own buffer and `mean_softmax_xent` in one
-    temporary of its own; their bits equal the out-of-place bodies, and the
-    input of `mean_softmax_xent` is left as it was."""
+    """`_softmax_xent` works in its own buffer, and with the log-sum-exp loss
+    and the 1/n scale that `loss_and_grads` adds it gives the bits of the
+    out-of-place bodies."""
     rng = np.random.default_rng(seed)
     scores = rng.normal(scale=scale, size=(n, n_classes))
     labels = rng.integers(n_classes, size=n)
@@ -185,7 +203,6 @@ def test_in_place_softmax_and_xent_match_the_reference_bits(seed, n, n_classes, 
         labels[0] = 0
     if edge in ("last", "both"):
         labels[-1] = n_classes - 1
-    before = scores.copy()
 
     rows = np.arange(n)
     g = scores.copy()
@@ -197,11 +214,31 @@ def test_in_place_softmax_and_xent_match_the_reference_bits(seed, n, n_classes, 
     shifted = scores - scores.max(axis=-1, keepdims=True)
     assert label_shifted.tobytes() == shifted[rows, labels].tobytes()
     assert total.tobytes() == np.exp(shifted).sum(axis=-1, keepdims=True).tobytes()
-    loss, grad = mean_softmax_xent(scores, labels)
+    loss, grad = _mean_xent(scores, labels)
     ref_loss, ref_grad = _reference_mean_softmax_xent(scores, labels)
     assert loss == ref_loss
     assert grad.tobytes() == ref_grad.tobytes()
-    assert scores.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_loss_and_grads_cross_entropy_matches_the_reference_bits(seed, monkeypatch):
+    """The loss of `loss_and_grads`, and the score gradient it passes on to
+    the backward pass, are the reference's bits on the model's scores."""
+    model, x, y = _random_model(np.random.default_rng(seed), 3, 2, 2, 3, _gamma(2, 0.5))
+    seen = []
+
+    def record(g_scores, few, features):
+        seen.append(g_scores.copy())
+        return _few_scores_vjp(g_scores, few, features)
+
+    monkeypatch.setattr(alphanet.model, "_few_scores_vjp", record)
+    scores = model.bank.scores(x)
+    u, t = _composed_few_rows(model)
+    scores[:, model.bank.split.few_index] = x @ u.T + t
+    ref_loss, ref_grad = _reference_mean_softmax_xent(scores, y)
+    loss, _ = loss_and_grads(model, x, y)
+    assert loss == ref_loss
+    assert seen[0].tobytes() == ref_grad.tobytes()
 
 
 @settings(deadline=None, max_examples=40)
@@ -420,11 +457,11 @@ def test_tape_linear_mix_gradients(seed, f, n):
 
 @settings(deadline=None, max_examples=25)
 @given(seed=st.integers(0, 2**31))
-def test_tape_mean_softmax_xent_gradients(seed):
+def test_tape_softmax_xent_gradients(seed):
     rng = np.random.default_rng(seed)
     scores = rng.normal(scale=2.0, size=(4, 6))
     labels = rng.integers(0, 6, size=4)
-    _, grad = mean_softmax_xent(scores, labels)
+    _, grad = _mean_xent(scores, labels)
 
     def f(flat):
         s = flat.reshape(4, 6)
@@ -449,7 +486,7 @@ def test_tape_batch_scores_and_overwrite_columns_gradients():
     def loss(wf, bf):
         s = base.copy()
         s[:, few] = feats @ wf.T + bf
-        return mean_softmax_xent(s, labels)
+        return _mean_xent(s, labels)
 
     loss0, g_scores = loss(w, b)
     gw, gb = _few_scores_vjp(g_scores, few, feats)
