@@ -136,6 +136,10 @@ def _parse_grid(text: str, cast):
         # An infinite bound would never end the range, and a NaN would empty it.
         if not (step > 0 and -math.inf < lo <= hi < math.inf):
             raise ConfigError(f"grid needs step > 0 and finite hi >= lo, got {text!r}")
+        # A step of at most half the last-place unit of the largest |v| the
+        # range reaches (hi + 1e-9) adds nothing to some v: it would never end.
+        if step <= math.ulp(max(abs(lo), abs(hi) + 1e-9)) / 2:
+            raise ConfigError(f"grid step is too small to advance, got {text!r}")
         values = []
         v = lo
         while v <= hi + 1e-9:
@@ -160,10 +164,10 @@ def _require_file(path: str | None, flag: str) -> Path:
     return p
 
 
-def _check_train_digest(ds, dataset: str, bank, path: str) -> None:
+def _check_train_digest(digest: str, dataset: str, bank, path: str) -> None:
     """A bank that records the digest of its train partition pairs only with
-    a dataset whose train partition has the same one."""
-    if bank.train_digest not in (None, ds.train_digest()):
+    a dataset whose train partition has the same `digest`."""
+    if bank.train_digest not in (None, digest):
         raise IntegrityError(
             f"bank {path} was not trained on dataset {dataset}: "
             "the digests of their train partitions differ"
@@ -173,7 +177,8 @@ def _check_train_digest(ds, dataset: str, bank, path: str) -> None:
 def _load_pair(dataset: str | None, bank: str | None):
     """Load `--dataset` and `--bank`; the bank must carry the split that the
     dataset's train counts give, the one `baseline` would have stored, and
-    the dataset's train digest when it records one."""
+    the dataset's train digest when it records one. The digest is returned
+    with the pair."""
     ds = load_dataset(_require_file(dataset, "--dataset"))
     classifiers = load_bank(_require_file(bank, "--bank"))
     if ds.split() != classifiers.split:
@@ -181,8 +186,9 @@ def _load_pair(dataset: str | None, bank: str | None):
             f"bank {bank} was not trained on the split of dataset {dataset}: "
             "their per-class train counts or split labels differ"
         )
-    _check_train_digest(ds, dataset, classifiers, bank)
-    return ds, classifiers
+    digest = ds.train_digest()
+    _check_train_digest(digest, dataset, classifiers, bank)
+    return ds, classifiers, digest
 
 
 def _run_config(args) -> RunConfig:
@@ -282,7 +288,7 @@ def cmd_baseline(args) -> None:
 def cmd_train(args) -> None:
     t0 = time.monotonic()
     cfg = _run_config(args)
-    ds, bank = _load_pair(cfg.dataset, cfg.bank)
+    ds, bank, _ = _load_pair(cfg.dataset, cfg.bank)
 
     def show(entry: dict) -> None:
         few = entry["val"].get("few")
@@ -303,7 +309,7 @@ def cmd_train(args) -> None:
 
 def cmd_eval(args) -> None:
     t0 = time.monotonic()
-    ds, bank = _load_pair(args.dataset, args.bank)
+    ds, bank, digest = _load_pair(args.dataset, args.bank)
     composed = load_bank(_require_file(args.composed, "--composed"))
     base = list(bank.split.base_ids)
     if composed.split != bank.split or any(
@@ -314,17 +320,14 @@ def cmd_eval(args) -> None:
             f"composed bank {args.composed} was not built from {args.bank}: "
             "their splits or base-class rows differ"
         )
-    _check_train_digest(ds, args.dataset, composed, args.composed)
+    _check_train_digest(digest, args.dataset, composed, args.composed)
     # Each report scores the partition in row blocks and keeps only its top-1
     # predictions, which the classwise table reads.
     baseline = bank_report(bank, ds, args.partition)
     report = bank_report(composed, ds, args.partition)
     labels = ds.labels[ds.indices(args.partition)]
-    means = class_means(ds)
-    distances = {
-        target: base_distances(means, bank.split, target)[0][0]
-        for target in bank.split.few_ids
-    }
+    nearest = base_distances(class_means(ds), bank.split)[1][:, 0]
+    distances = dict(zip(bank.split.few_ids, nearest.tolist()))
     classwise = _classwise(baseline.predictions, report.predictions, labels, distances)
     out = _out_dir(args.out_dir)
     write_split_report_csv(out / "split_report.csv", report)
@@ -348,7 +351,7 @@ def cmd_sweep(args) -> None:
     t0 = time.monotonic()
     cfg = _run_config(args)
     values = _parse_grid(args.grid, float if args.axis == "gamma" else int)
-    ds, bank = _load_pair(cfg.dataset, cfg.bank)
+    ds, bank, _ = _load_pair(cfg.dataset, cfg.bank)
     if args.axis == "gamma":
         rows = gamma_sweep(bank, ds, cfg, values, partition=args.partition)
         x_label = "gamma"

@@ -250,11 +250,9 @@ class AlphaModel:
     @property
     def neighbor_sets(self) -> list[NeighborSet]:
         """One neighbor set per few class, as views of the stacked inputs."""
-        rows = zip(self.few_ids, self.neighbors.tolist(), self.distances.tolist())
         return [
-            NeighborSet(c, tuple(ids), self.reduced[i], self.set_biases[i], self.full_rows[i],
-                        tuple(dists))
-            for i, (c, ids, dists) in enumerate(rows)
+            NeighborSet(c, tuple(ids), self.reduced[i], self.set_biases[i], self.full_rows[i])
+            for i, (c, ids) in enumerate(zip(self.few_ids, self.neighbors.tolist()))
         ]
 
     @property
@@ -283,8 +281,8 @@ def build_model(
     if not 0.0 <= slope < 1.0:
         raise ConfigError(f"slope must be in [0, 1), got {slope}")
     split = bank.split
-    if top_k > split.n_base:
-        raise ConfigError(f"top_k {top_k} exceeds number of base classes {split.n_base}")
+    if not 0 <= top_k <= split.n_base:
+        raise ConfigError(f"top_k {top_k} must be in [0, {split.n_base}] (number of base classes)")
     if hidden is None:
         hidden = reduced_dim
     if hidden < 1:
@@ -295,18 +293,15 @@ def build_model(
         )
     means = class_means(ds)
     proj = pca_fit(bank.weights, reduced_dim)
+    ids, dists = base_distances(means, split)
+    neighbors, distances = ids[:, :top_k], dists[:, :top_k]
+    members = np.column_stack([np.array(split.few_ids, dtype=np.int64), neighbors])
+    reduced = pca_apply(proj, bank.weights[members])
     f, kp1 = split.n_few, top_k + 1
-    neighbors = np.empty((f, top_k), dtype=np.int64)
-    distances = np.empty((f, top_k))
-    reduced = np.empty((f, kp1, reduced_dim))
     shapes = [(f, hidden, kp1 * reduced_dim), (f, hidden), (f, kp1, hidden), (f, kp1)]
     params = [np.empty(shape) for shape in shapes]
     rng = np.random.default_rng(seed)
-    for i, target in enumerate(split.few_ids):
-        ranked = base_distances(means, split, target)[:top_k]
-        neighbors[i] = [c for _, c in ranked]
-        distances[i] = [dist for dist, _ in ranked]
-        reduced[i] = [pca_apply(proj, bank.weights[c]) for c in (target, *neighbors[i])]
+    for i in range(f):
         sub = init_submodule(rng, kp1 * reduced_dim, hidden, kp1, gamma, init_gain, init_margin)
         for stack, p in zip(params, astuple(sub)):
             stack[i] = p

@@ -79,27 +79,29 @@ def pca_fit(rows: np.ndarray, d: int) -> PcaProjection:
 
 
 def pca_apply(proj: PcaProjection, v: np.ndarray) -> np.ndarray:
-    """Project a vector: out = components^T (v - mean)."""
+    """Project vectors on the last axis, out = components^T (v - mean);
+    each vector of a batch keeps the bits of its own per-vector product."""
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != (proj.in_dim,):
+    if v.shape[-1:] != (proj.in_dim,):
         raise ShapeError(
-            f"pca_apply: vector {v.shape} incompatible with projection "
+            f"pca_apply: vectors {v.shape} incompatible with projection "
             f"({proj.in_dim} -> {proj.out_dim})"
         )
-    return proj.components.T @ (v - proj.mean)
+    return np.matmul(proj.components.T, (v - proj.mean)[..., None])[..., 0]
 
 
-def base_distances(
-    means: np.ndarray, split: SplitSpec, target: int
-) -> list[tuple[float, int]]:
-    """(distance, class id) to every base class, ascending; ties by lower id."""
-    pairs = [
-        (float(np.linalg.norm(means[target] - means[c])), c)
-        for c in split.base_ids
-        if c != target
-    ]
-    pairs.sort()
-    return pairs
+def base_distances(means: np.ndarray, split: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Every few class's base classes by mean-feature distance, nearest
+    first: ids and distances, both (F, B) with rows in `few_ids` order.
+    Ties go to the lower id."""
+    base = np.array(split.base_ids, dtype=np.int64)
+    diff = means[split.few_index, None, :] - means[base]
+    # A 1 x 1 product per pair is the dot product that np.linalg.norm takes
+    # for a lone vector, so every distance keeps its bits.
+    dist = np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
+    # `base` ascends, so a stable sort puts the lower id first on ties.
+    order = np.argsort(dist, axis=1, kind="stable")
+    return base[order], np.take_along_axis(dist, order, axis=1)
 
 
 def knn_base(
@@ -110,7 +112,8 @@ def knn_base(
         raise ConfigError(f"neighbor target {target} is not a few class")
     if not 0 <= k <= split.n_base:
         raise ConfigError(f"k={k} must be in [0, {split.n_base}] (number of base classes)")
-    return tuple(c for _, c in base_distances(means, split, target)[:k])
+    ids, _ = base_distances(means, split)
+    return tuple(ids[split.few_ids.index(target), :k].tolist())
 
 
 @dataclass(frozen=True)
@@ -128,7 +131,6 @@ class NeighborSet:
     reduced: np.ndarray    # (K+1, d)
     biases: np.ndarray     # (K+1,)
     full_rows: np.ndarray  # (K+1, D)
-    distances: tuple[float, ...] = ()
 
     @property
     def k(self) -> int:

@@ -362,15 +362,10 @@ def _classwise(
 
 
 def nn_distance_map(model: AlphaModel) -> dict[int, float]:
-    """Nearest-neighbor distance per few class, from the stored neighbor sets."""
-    out = {}
-    for ns in model.neighbor_sets:
-        if not ns.distances:
-            raise ConfigError(
-                f"neighbor set for class {ns.target} has no recorded distances"
-            )
-        out[ns.target] = ns.distances[0]
-    return out
+    """Nearest-neighbor distance per few class, from the model's stored distances."""
+    if model.top_k == 0:
+        raise ConfigError("a model with top_k 0 has no neighbor distances")
+    return dict(zip(model.few_ids, model.distances[:, 0].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ from alphanet.config import RunConfig
 from alphanet.data import ClassifierBank, load_bank, load_dataset, save_dataset
 from alphanet.datagen import GenConfig
 from alphanet.errors import ConfigError
+from alphanet.model import load_model
+from alphanet.reports import nn_distance_map
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +101,14 @@ def test_eval_outputs_are_consistent(pipeline):
         "partition": "test",
         "seed": 0,
     }
+
+
+def test_classwise_nn_distance_is_the_models_nearest_distance(pipeline):
+    bank = load_bank(pipeline["base"] / "bank.json")
+    model = load_model(pipeline["run"] / "model.json", bank)
+    lines = (pipeline["eval"] / "classwise.csv").read_text().splitlines()[1:]
+    column = {int(line.split(",")[0]): line.split(",")[4] for line in lines}
+    assert column == {c: f"{d:.6g}" for c, d in nn_distance_map(model).items()}
 
 
 def _eval_argv(pipeline, out_dir) -> list[str]:
@@ -335,6 +345,11 @@ def test_parse_grid_rejects_malformed_input():
     for bad in ("0.9:0.1:0.1", "0.1:0.9:0", "0.1:0.9:-0.1", "a:b:c", "", "1:2"):
         with pytest.raises(ConfigError):
             _parse_grid(bad, float)
+    # Steps that stop advancing: at lo, at hi, and past hi within the
+    # range's 1e-9 slack, where v reaches 2.0 and 1.5e-16 rounds away.
+    for stuck in ("0.5:0.6:1e-300", "0:1e17:1", "1.9999999999:1.9999999999:1.5e-16"):
+        with pytest.raises(ConfigError, match="too small to advance"):
+            _parse_grid(stuck, float)
     with pytest.raises(ConfigError, match="0.5"):
         _parse_grid("0:3:0.5", int)  # would truncate to 0, 0, 1, 1, 2, 2, 3
 
@@ -476,6 +491,8 @@ TRAIN_SMALL = ("--epochs", "1", "--top-k", "2", "--reduced-dim", "4")
         ["sweep", "--axis", "topk", "--grid", "0:3:0.5"],
         ["sweep", "--axis", "topk", "--grid", "0,99", "--epochs", "1"],
         ["sweep", "--axis", "gamma", "--grid", "0.5:nan:0.1", "--epochs", "1"],
+        # 0.5 + 1e-300 == 0.5, so the range would never end.
+        ["sweep", "--axis", "gamma", "--grid", "0.5:0.6:1e-300", "--epochs", "1"],
         ["train", "--top-k", "99", "--epochs", "1"],
         ["datagen", "--few-lt", "3"],
         ["baseline", "--epochs", "-1"],
@@ -494,7 +511,8 @@ TRAIN_SMALL = ("--epochs", "1", "--top-k", "2", "--reduced-dim", "4")
         ["train", "--init-gain", "nan", *TRAIN_SMALL],
         ["train", "--init-gain", "inf", *TRAIN_SMALL],
     ],
-    ids=["sweep-grid-fraction", "sweep-k-too-large", "sweep-grid-to-nan", "train-k-too-large",
+    ids=["sweep-grid-fraction", "sweep-k-too-large", "sweep-grid-to-nan",
+         "sweep-grid-step-too-small", "train-k-too-large",
          "datagen-no-few-class", "baseline-negative-epochs", "train-lr-decays-to-zero",
          "baseline-lr-nan", "datagen-sigma-nan", "datagen-mean-scale-inf",
          "datagen-group-spread-nan", "datagen-decay-exponent-nan", "train-lr0-nan",

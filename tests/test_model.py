@@ -150,7 +150,6 @@ def _neighbor_set(rng, k=2, d=4):
         reduced=rng.normal(size=(k + 1, 3)),
         biases=rng.normal(size=k + 1),
         full_rows=rng.normal(size=(k + 1, d)),
-        distances=tuple(float(x) for x in np.sort(rng.uniform(0, 2, size=k))),
     )
 
 
@@ -306,6 +305,8 @@ def test_build_model_validates_configuration():
         build_model(bank, ds, gamma=1.5)
     with pytest.raises(ConfigError):
         build_model(bank, ds, top_k=bank.split.n_base + 1)
+    with pytest.raises(ConfigError, match="top_k -1 must be in"):
+        build_model(bank, ds, top_k=-1)
 
 
 @pytest.mark.parametrize(
@@ -786,10 +787,10 @@ def test_model_round_trip_is_bit_exact(tmp_path):
     save_model(tmp_path / "model.json", result.model)
     back = load_model(tmp_path / "model.json", bank)
     assert flatten_params(back).tobytes() == flatten_params(result.model).tobytes()
+    assert back.distances.tobytes() == result.model.distances.tobytes()
     for ns1, ns2 in zip(result.model.neighbor_sets, back.neighbor_sets):
         assert ns1.target == ns2.target
         assert ns1.neighbor_ids == ns2.neighbor_ids
-        assert ns1.distances == ns2.distances
         assert ns1.reduced.tobytes() == ns2.reduced.tobytes()
         assert ns1.full_rows.tobytes() == ns2.full_rows.tobytes()
     a = export_composed(result.model)
@@ -925,9 +926,10 @@ def test_model_round_trip_is_bit_exact_for_any_shape(seed, f, k, d, h, strict_al
         assert getattr(back, name) == getattr(model, name)
     for p, q in zip(model.params, back.params, strict=True):
         assert p.shape == q.shape and p.tobytes() == q.tobytes()
+    assert back.distances.tobytes() == model.distances.tobytes()
     assert len(back.neighbor_sets) == f
     for ns1, ns2 in zip(model.neighbor_sets, back.neighbor_sets):
-        for name in ("target", "neighbor_ids", "distances"):
+        for name in ("target", "neighbor_ids"):
             assert getattr(ns1, name) == getattr(ns2, name)
         for name in ("reduced", "biases", "full_rows"):
             assert getattr(ns1, name).tobytes() == getattr(ns2, name).tobytes()

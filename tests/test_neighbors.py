@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from alphanet.data import ClassifierBank, FeatureDataset, assign_splits
 from alphanet.errors import ConfigError, DataError, IntegrityError, ShapeError
 from alphanet.model import build_model, export_composed
-from alphanet.neighbors import class_means, knn_base, pca_apply, pca_fit
+from alphanet.neighbors import base_distances, class_means, knn_base, pca_apply, pca_fit
 
 
 def _dataset(features_by_class, partitions=None):
@@ -140,6 +140,23 @@ def test_pca_apply_is_nonexpansive_and_matches_matvec():
         pca_apply(proj, np.zeros(4))
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**31),
+    lead=st.lists(st.integers(0, 4), max_size=2),
+    dim=st.integers(1, 128),
+    out_dim=st.integers(1, 16),
+)
+def test_pca_apply_batched_matches_per_vector_products(seed, lead, dim, out_dim):
+    rng = np.random.default_rng(seed)
+    proj = pca_fit(rng.normal(size=(dim + 1, dim)), min(out_dim, dim))
+    v = rng.normal(size=(*lead, dim))
+    out = pca_apply(proj, v)
+    assert out.shape == (*lead, proj.out_dim)
+    for idx in np.ndindex(*lead):
+        assert out[idx].tobytes() == (proj.components.T @ (v[idx] - proj.mean)).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Nearest neighbors
 
@@ -186,6 +203,31 @@ def test_knn_base_matches_exhaustive_oracle():
         assert knn_base(means, split, target, k) == tuple(c for _, c in oracle[:k])
 
 
+@settings(deadline=None, max_examples=80)
+@given(
+    seed=st.integers(0, 2**31),
+    n_few=st.integers(1, 4),
+    n_base=st.integers(1, 8),
+    dim=st.integers(1, 512),
+    n_copies=st.integers(0, 4),
+)
+def test_base_distances_table_matches_per_pair_norms(seed, n_few, n_base, dim, n_copies):
+    """Bit for bit against one np.linalg.norm per pair; copied means force
+    ties, which go to the lower id."""
+    rng = np.random.default_rng(seed)
+    split = assign_splits(rng.permutation([5] * n_few + [50] * n_base))
+    means = rng.normal(size=(n_few + n_base, dim))
+    for _ in range(n_copies):
+        src, dst = rng.integers(0, n_few + n_base, size=2)
+        means[dst] = means[src]
+    ids, dists = base_distances(means, split)
+    assert ids.shape == dists.shape == (n_few, n_base)
+    for row, target in enumerate(split.few_ids):
+        oracle = sorted((np.linalg.norm(means[target] - means[c]), c) for c in split.base_ids)
+        assert ids[row].tolist() == [c for _, c in oracle]
+        assert dists[row].tobytes() == np.array([d for d, _ in oracle]).tobytes()
+
+
 @settings(deadline=None, max_examples=60)
 @given(seed=st.integers(0, 2**31), shift=st.floats(-100, 100))
 def test_knn_base_invariant_under_translation(seed, shift):
@@ -230,7 +272,7 @@ def test_model_neighbor_inputs_layout():
     for j, c in enumerate(members):
         assert model.reduced[0, j].tobytes() == pca_apply(proj, bank.weights[c]).tobytes()
     (ns,) = model.neighbor_sets
-    assert (ns.target, ns.neighbor_ids, ns.distances, ns.k) == (4, (2, 0, 3), (1.0, 2.0, 3.0), 3)
+    assert (ns.target, ns.neighbor_ids, ns.k) == (4, (2, 0, 3), 3)
     assert np.shares_memory(ns.full_rows, model.full_rows)  # a view, not a copy
     # slot j of the flattened input is exactly reduced row j
     assert ns.flat_input.shape == (4 * 3,)
@@ -244,7 +286,7 @@ def test_model_neighbor_inputs_k0_degenerate():
     model = build_model(bank, _ranked_dataset([1, 2, 0]), top_k=0, reduced_dim=2)
     (ns,) = model.neighbor_sets
     assert model.neighbors.shape == model.distances.shape == (1, 0)
-    assert (ns.k, ns.distances) == (0, ())
+    assert ns.k == 0
     assert np.array_equal(ns.flat_input, pca_apply(pca_fit(bank.weights, 2), bank.weights[2]))
 
 

@@ -15,7 +15,6 @@ from alphanet.data import ClassifierBank, FeatureDataset, assign_splits
 from alphanet.datagen import GenConfig, generate, train_baseline
 from alphanet.errors import ConfigError, NumericError, ShapeError
 from alphanet import reports as reports_module
-from alphanet.neighbors import NeighborSet
 from alphanet.reports import (
     ClasswiseReport,
     ClasswiseRow,
@@ -640,22 +639,13 @@ def test_classwise_rejects_mismatched_score_shapes():
 
 
 def test_nn_distance_map_reads_stored_distances():
-    ns1 = NeighborSet(
-        target=7, neighbor_ids=(1,), reduced=np.zeros((2, 2)),
-        biases=np.zeros(2), full_rows=np.zeros((2, 3)), distances=(0.25,),
+    fake = SimpleNamespace(
+        few_ids=(7, 8), top_k=2, distances=np.array([[0.25, 0.3], [0.5, 0.75]])
     )
-    ns2 = NeighborSet(
-        target=8, neighbor_ids=(2, 0), reduced=np.zeros((3, 2)),
-        biases=np.zeros(3), full_rows=np.zeros((3, 3)), distances=(0.5, 0.75),
-    )
-    fake = SimpleNamespace(neighbor_sets=[ns1, ns2])
     assert nn_distance_map(fake) == {7: 0.25, 8: 0.5}
-    bare = NeighborSet(
-        target=9, neighbor_ids=(), reduced=np.zeros((1, 2)),
-        biases=np.zeros(1), full_rows=np.zeros((1, 3)),
-    )
+    bare = SimpleNamespace(few_ids=(9,), top_k=0, distances=np.zeros((1, 0)))
     with pytest.raises(ConfigError):
-        nn_distance_map(SimpleNamespace(neighbor_sets=[bare]))
+        nn_distance_map(bare)
 
 
 # ---------------------------------------------------------------------------
