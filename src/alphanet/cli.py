@@ -2,10 +2,10 @@
 
 Every command validates its configuration up front, loads and computes, and
 only then creates its output directory and writes its outputs atomically,
-so a rejected command leaves nothing behind. Each drops a `run.json` with
-the effective merged config, the seed, a git-describe string (when
-available), and wall time. Exit codes: 1 configuration error, 2
-file/format error, 3 numeric failure.
+so a rejected command leaves nothing behind. `main` then writes the
+command's `run.json`: every flag it read, with its settings at their merged
+values, the seed, a git-describe string (when available), and wall time.
+Exit codes: 1 configuration error, 2 file/format error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import time
 from dataclasses import fields
 from pathlib import Path
 
-from .config import RunConfig
+from .config import RunConfig, merge_config
 from .data import (
     _atomic_write_bytes,
     load_bank,
@@ -82,11 +82,17 @@ def _git_describe(cwd: str) -> str | None:
     return out.stdout.strip() or None
 
 
-def _write_run_json(out_dir: Path, command: str, config: dict, seed: int, t0: float) -> None:
+def _write_run_json(out_dir: Path, args, cfg, t0: float) -> None:
+    """`run.json` of the command `args` ran: every flag it read but `command`,
+    `func` and `config`, with the fields of its settings `cfg`, if any, at
+    their merged values."""
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "func", "config")}
+    if cfg is not None:
+        config |= cfg.to_dict()
     payload = {
-        "command": command,
+        "command": args.command,
         "config": config,
-        "seed": seed,
+        "seed": config["seed"],
         "git_describe": _git_describe(os.getcwd()),
         "wall_time_s": round(time.monotonic() - t0, 3),
     }
@@ -191,49 +197,52 @@ def _load_pair(dataset: str | None, bank: str | None):
     return ds, classifiers, digest
 
 
+def _config(args, cls):
+    """The settings dataclass `cls`: its defaults, then the `--config` file,
+    then the flags given."""
+    flags = {f.name: getattr(args, f.name) for f in fields(cls)}
+    return merge_config(cls, _load_json_config(args.config), flags)
+
+
 def _run_config(args) -> RunConfig:
-    flag_values = {name: getattr(args, name) for name in RunConfig.field_names()}
-    cfg = RunConfig.merged(_load_json_config(args.config), flag_values)
+    cfg = _config(args, RunConfig)
     if not cfg.out_dir:
         raise ConfigError("--out-dir is required (or out_dir in the --config file)")
     return cfg
 
 
-def _gen_config(args) -> GenConfig:
-    """The config file overlaid by the flags given; `rho` and
-    `explicit_counts` come as comma lists."""
-    values = _load_json_config(args.config)
-    for f in fields(GenConfig):
-        v = getattr(args, f.name)
-        if v is None:
-            continue
-        if f.name == "rho":
-            rhos = _numbers(v, float)
-            v = rhos[0] if len(rhos) == 1 else rhos
-        elif f.name == "explicit_counts":
-            v = _numbers(v, int)
-        values[f.name] = v
-    return GenConfig.from_dict(values)
-
-
 _FLAG_TYPES = {"int": int, "float": float}
+
+
+def _flag_type(annotation: str):
+    """How a flag parses its text, from its field's annotation as
+    `check_field_types` reads it: `int` or `float` one number, `list[int]` a
+    comma list, and `float | list[float]` a comma list whose single value
+    stands for the scalar. None, for a string, otherwise."""
+    kinds = annotation.split(" | ")
+    item = next((kind[5:-1] for kind in kinds if kind.startswith("list[")), None)
+    if item is None:
+        return _FLAG_TYPES.get(kinds[0])
+
+    def parse(text: str):
+        values = _numbers(text, _FLAG_TYPES[item])
+        return values[0] if len(values) == 1 and item in kinds else values
+
+    return parse
 
 
 def _add_config_flags(p: argparse.ArgumentParser, cls) -> None:
     """`--config` plus one `--field-name` flag per field of the dataclass
-    `cls`, typed from the field's annotation as `check_field_types` reads
-    it: `int`, `float`, `bool` (`--x`/`--no-x`), and a string otherwise (a
-    list field takes a comma list). A flag left out is None, so it does not
-    override the config file."""
+    `cls`, parsed as `_flag_type` says, or `--x`/`--no-x` for a `bool`. A
+    flag left out is None, so it does not override the config file."""
     p.add_argument("--config", help="JSON file with config keys (flags override it)")
     for f in fields(cls):
-        kind = f.type.removesuffix(" | None")
         kwargs = (
             {"action": argparse.BooleanOptionalAction}
-            if kind == "bool"
-            else {"type": _FLAG_TYPES.get(kind)}
+            if f.type == "bool"
+            else {"type": _flag_type(f.type)}
         )
-        help_text = "comma-separated list" if "list" in kind else None
+        help_text = "comma-separated list" if "list" in f.type else None
         p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, help=help_text, **kwargs)
 
 
@@ -241,9 +250,8 @@ def _add_config_flags(p: argparse.ArgumentParser, cls) -> None:
 # Commands
 
 
-def cmd_datagen(args) -> None:
-    t0 = time.monotonic()
-    cfg = _gen_config(args)
+def cmd_datagen(args) -> tuple[Path, GenConfig]:
+    cfg = _config(args, GenConfig)
     ds, split, _ = generate(cfg)
     out = _out_dir(args.out_dir)
     save_dataset(out / "dataset.json", ds)
@@ -253,7 +261,7 @@ def cmd_datagen(args) -> None:
         f"{ds.n_classes} classes ({split.n_few} few), train counts "
         f"{int(counts.max())}..{int(counts.min())}"
     )
-    _write_run_json(out, "datagen", cfg.to_dict(), cfg.seed, t0)
+    return out, cfg
 
 
 def _top1_line(report) -> str:
@@ -265,8 +273,7 @@ def _top1_line(report) -> str:
     )
 
 
-def cmd_baseline(args) -> None:
-    t0 = time.monotonic()
+def cmd_baseline(args) -> tuple[Path, None]:
     ds = load_dataset(_require_file(args.dataset, "--dataset"))
     bank = train_baseline(
         ds,
@@ -280,13 +287,10 @@ def cmd_baseline(args) -> None:
     save_bank(out / "bank.json", bank)
     report = bank_report(bank, ds, "val")
     print(f"wrote {out / 'bank.json'}; val top-1: {_top1_line(report)}")
-    names = ("dataset", "epochs", "lr", "batch_size", "momentum", "seed")
-    config = {name: getattr(args, name) for name in names}
-    _write_run_json(out, "baseline", config, args.seed, t0)
+    return out, None
 
 
-def cmd_train(args) -> None:
-    t0 = time.monotonic()
+def cmd_train(args) -> tuple[Path, RunConfig]:
     cfg = _run_config(args)
     ds, bank, _ = _load_pair(cfg.dataset, cfg.bank)
 
@@ -304,11 +308,10 @@ def cmd_train(args) -> None:
         f"best epoch {result.best_epoch} (few-val top-1 {result.best_few_top1:.4f}); "
         f"wrote {out / 'model.json'}, {out / 'composed.json'}"
     )
-    _write_run_json(out, "train", cfg.to_dict(), cfg.seed, t0)
+    return out, cfg
 
 
-def cmd_eval(args) -> None:
-    t0 = time.monotonic()
+def cmd_eval(args) -> tuple[Path, None]:
     ds, bank, digest = _load_pair(args.dataset, args.bank)
     composed = load_bank(_require_file(args.composed, "--composed"))
     base = list(bank.split.base_ids)
@@ -342,13 +345,10 @@ def cmd_eval(args) -> None:
         out / "eval.json", (json.dumps(summary, indent=2) + "\n").encode("utf-8")
     )
     print(f"composed {args.partition} top-1: {_top1_line(report)}")
-    names = ("dataset", "bank", "composed", "out_dir", "partition", "seed")
-    config = {name: getattr(args, name) for name in names}
-    _write_run_json(out, "eval", config, args.seed, t0)
+    return out, None
 
 
-def cmd_sweep(args) -> None:
-    t0 = time.monotonic()
+def cmd_sweep(args) -> tuple[Path, RunConfig]:
     cfg = _run_config(args)
     values = _parse_grid(args.grid, float if args.axis == "gamma" else int)
     ds, bank, _ = _load_pair(cfg.dataset, cfg.bank)
@@ -367,13 +367,7 @@ def cmd_sweep(args) -> None:
         x_label=x_label,
     )
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} cells)")
-    _write_run_json(
-        out,
-        "sweep",
-        cfg.to_dict() | {"axis": args.axis, "grid": args.grid, "partition": args.partition},
-        cfg.seed,
-        t0,
-    )
+    return out, cfg
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +419,9 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        args.func(args)
+        t0 = time.monotonic()
+        out, cfg = args.func(args)
+        _write_run_json(out, args, cfg, t0)
     except (ConfigError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

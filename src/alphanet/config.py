@@ -1,4 +1,5 @@
-"""Run configuration: defaults, validation, and flag/file/default merging."""
+"""Run configuration: defaults and validation, and the one default/file/flag
+merge that builds every settings dataclass."""
 
 from __future__ import annotations
 
@@ -99,33 +100,26 @@ class RunConfig:
         return asdict(self)
 
     @classmethod
-    def field_names(cls) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(cls))
-
-    @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        known = set(cls.field_names())
-        unknown = sorted(set(d) - known)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        return cls(**d).validate()
+        return merge_config(cls, d)
 
     @classmethod
     def merged(cls, file_values: dict | None = None, flag_values: dict | None = None) -> "RunConfig":
-        """Defaults, overlaid by the config file, overlaid by explicit flags.
+        return merge_config(cls, file_values, flag_values)
 
-        `flag_values` entries that are None count as "not given on the
-        command line" and do not override.
-        """
-        d = cls().to_dict()
-        known = set(d)
-        for source, name in ((file_values, "config file"), (flag_values, "flags")):
-            if not source:
-                continue
-            unknown = sorted(set(source) - known)
-            if unknown:
-                raise ConfigError(f"unknown {name} keys: {', '.join(unknown)}")
-            for key, value in source.items():
-                if value is not None:
-                    d[key] = value
-        return cls(**d).validate()
+
+def merge_config(cls, file_values: dict | None = None, flag_values: dict | None = None):
+    """The dataclass `cls` from its defaults, overlaid by the config file's
+    `file_values`, overlaid by the `flag_values` given, then validated.
+
+    A flag that is None was not given on the command line and does not
+    override; a `null` in the config file is a value like any other, which
+    the field's annotation must admit. A key that names no field is refused.
+    """
+    known = {f.name for f in fields(cls)}
+    for source, name in ((file_values, "config file"), (flag_values, "flags")):
+        unknown = sorted(set(source or ()) - known)
+        if unknown:
+            raise ConfigError(f"unknown {name} keys: {', '.join(unknown)}")
+    given = {key: value for key, value in (flag_values or {}).items() if value is not None}
+    return cls(**((file_values or {}) | given)).validate()

@@ -3,8 +3,9 @@
 The generator draws Gaussian clusters whose per-class train counts follow a
 head-to-tail decay profile. A correlation knob `rho` pulls each few-class
 mean toward a randomly chosen base-class mean, so tests can construct few
-classes that do (or do not) have a semantically close strong neighbor. Base
-means themselves are drawn around a handful of group centers (real label
+classes that do (or do not) have a semantically close strong neighbor. By
+default (`n_groups` 0) every class mean is an independent draw; `n_groups` > 0
+draws the base means around that many group centers instead (real label
 spaces are clumpy: several strong classes resemble each other), which gives
 a few class more than one informative neighbor. The baseline is a
 multinomial logistic regression trained on the naturally imbalanced train
@@ -54,7 +55,7 @@ class GenConfig:
     few_lt: int = FEW_LT
     seed: int = 0
 
-    def validate(self) -> None:
+    def validate(self) -> "GenConfig":
         check_field_types(self)
         if self.n_classes < 2:
             raise ConfigError(f"need at least 2 classes, got {self.n_classes}")
@@ -79,19 +80,10 @@ class GenConfig:
         for r in np.atleast_1d(np.asarray(self.rho, dtype=np.float64)):
             if not 0.0 <= r <= 1.0:
                 raise ConfigError(f"rho values must lie in [0, 1], got {r}")
+        return self
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GenConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown generator config keys: {sorted(unknown)}")
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
 
 
 def count_profile(cfg: GenConfig) -> np.ndarray:

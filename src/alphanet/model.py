@@ -172,7 +172,8 @@ def submodule_forward(sub: SubModule, input_vec: np.ndarray, slope: float) -> Al
 class AlphaModel:
     """All sub-modules plus the frozen inputs they operate on.
 
-    Everything is stacked along a leading few-class axis, in `few_ids` order.
+    Everything is stacked along a leading few-class axis, in `few_ids` order,
+    which must not be empty.
     `params` holds the four parameter arrays (F, h, (K+1)d), (F, h),
     (F, K+1, h) and (F, K+1) as views of one contiguous vector,
     `flat_params`, the only parameter storage: a model copies the arrays it
@@ -209,6 +210,8 @@ class AlphaModel:
                 f"gamma must be in (0, 1] and slope in [0, 1), got {self.gamma} and {self.slope}"
             )
         few = self.bank.split.few_ids
+        if not few:
+            raise IntegrityError("a model needs at least one few class; the bank's split has none")
         f, k, h, d = len(few), self.top_k, self.hidden, self.reduced_dim
         self.neighbors = np.asarray(self.neighbors, dtype=np.int64)
         self.distances = np.asarray(self.distances, dtype=np.float64)
@@ -281,6 +284,8 @@ def build_model(
     if not 0.0 <= slope < 1.0:
         raise ConfigError(f"slope must be in [0, 1), got {slope}")
     split = bank.split
+    if split.n_few == 0:
+        raise ConfigError("the bank's split has no few class to compose a classifier for")
     if not 0 <= top_k <= split.n_base:
         raise ConfigError(f"top_k {top_k} must be in [0, {split.n_base}] (number of base classes)")
     if hidden is None:
@@ -350,9 +355,8 @@ def export_composed(model: AlphaModel) -> ComposedBank:
     bank = model.bank
     weights = bank.weights.copy()
     biases = bank.biases.copy()
-    if model.few_ids:
-        few = bank.split.few_index
-        weights[few], biases[few] = _composed_few_rows(model)
+    few = bank.split.few_index
+    weights[few], biases[few] = _composed_few_rows(model)
     return ComposedBank(
         weights=weights,
         biases=biases,
@@ -631,18 +635,14 @@ def load_model(path, bank: ClassifierBank) -> AlphaModel:
         for key, kind in (("neighbors", "list[list[int]]"), ("distances", "list[list[float]]")):
             if not _has_type(m[key], kind):
                 raise IntegrityError(f"{key} must be a {kind}, got {m[key]!r}")
-        # An empty JSON list keeps no row length: it is 0 rows of K. Any other
-        # list keeps its own shape for AlphaModel to check.
-        lists = (np.array(m["neighbors"], dtype=np.int64), np.array(m["distances"], dtype=float))
-        neighbors, distances = (a.reshape(0, k) if a.shape == (0,) else a for a in lists)
         model = AlphaModel(
             gamma=m["gamma"],
             top_k=k,
             reduced_dim=d,
             hidden=h,
             slope=m["slope"],
-            neighbors=neighbors,
-            distances=distances,
+            neighbors=m["neighbors"],
+            distances=m["distances"],
             reduced=t["reduced"].reshape(f, k + 1, d),
             params=[
                 t["fc1_w"].reshape(f, h, (k + 1) * d),

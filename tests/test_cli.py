@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from alphanet import cli
-from alphanet.cli import _gen_config, _parse_grid, _run_config, build_parser, main
+from alphanet.cli import _config, _parse_grid, _run_config, build_parser, main
 from alphanet.config import RunConfig
 from alphanet.data import ClassifierBank, load_bank, load_dataset, save_dataset
 from alphanet.datagen import GenConfig
@@ -175,7 +175,8 @@ def test_training_is_reproducible_across_invocations(pipeline):
 def test_config_file_merges_under_flags(pipeline):
     root = pipeline["root"]
     cfg_path = root / "cfg.json"
-    cfg_path.write_text(json.dumps({"gamma": 0.9, "epochs": 1}))
+    # A null is a value, which `hidden`, an `int | None`, admits.
+    cfg_path.write_text(json.dumps({"gamma": 0.9, "epochs": 1, "hidden": None}))
     out = root / "merged"
     assert main([
         "train", "--config", str(cfg_path),
@@ -187,6 +188,7 @@ def test_config_file_merges_under_flags(pipeline):
     merged = json.loads((out / "run.json").read_text())["config"]
     assert merged["gamma"] == 0.3  # flag beats file
     assert merged["epochs"] == 1  # file beats default
+    assert merged["hidden"] is None
 
 
 def test_config_file_out_dir_is_honoured(pipeline, tmp_path):
@@ -261,14 +263,17 @@ def test_datagen_accepts_a_per_class_rho_list(pipeline, tmp_path):
 # Flags
 
 
-def _long_options(command: str) -> set[str]:
+def _flag_actions(command: str) -> list[argparse.Action]:
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {
-        a.option_strings[0]
-        for a in sub.choices[command]._actions
+    return [
+        a for a in sub.choices[command]._actions
         if a.option_strings and not isinstance(a, argparse._HelpAction)
-    }
+    ]
+
+
+def _long_options(command: str) -> set[str]:
+    return {a.option_strings[0] for a in _flag_actions(command)}
 
 
 def _dashed(cls) -> set[str]:
@@ -281,6 +286,31 @@ def test_flags_are_exactly_the_config_fields():
     assert _long_options("sweep") == _dashed(RunConfig) | {
         "--config", "--axis", "--grid", "--partition",
     }
+
+
+@pytest.mark.parametrize("command", ["datagen", "baseline", "train", "eval", "sweep"])
+def test_run_json_records_every_flag_the_command_read(pipeline, tmp_path, command):
+    """`run.json`'s `config` holds every flag of the command but `--config`,
+    with a config-file value merged in."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 7}))
+    pair = ["--dataset", str(pipeline["data"] / "dataset.json"),
+            "--bank", str(pipeline["base"] / "bank.json")]
+    small = ["--epochs", "1", "--top-k", "2", "--reduced-dim", "4"]
+    argv = {
+        "datagen": ["--config", str(cfg_path), "--n-classes", "12", "--feature-dim", "6",
+                    "--head-count", "80", "--tail-count", "4"],
+        "baseline": [*pair[:2], "--epochs", "1", "--seed", "7"],
+        "train": ["--config", str(cfg_path), *pair, *small],
+        "eval": [*pair, "--composed", str(pipeline["run"] / "composed.json"), "--seed", "7"],
+        "sweep": ["--config", str(cfg_path), *pair, *small, "--axis", "gamma", "--grid", "0.5"],
+    }[command]
+    out = tmp_path / "out"
+    assert main([command, *argv, "--out-dir", str(out)]) == 0
+    payload = json.loads((out / "run.json").read_text())
+    assert payload["command"] == command
+    assert set(payload["config"]) == {a.dest for a in _flag_actions(command)} - {"config"}
+    assert payload["config"]["seed"] == payload["seed"] == 7
 
 
 def _argv(command: str, values: dict) -> list[str]:
@@ -321,7 +351,7 @@ def test_every_flag_reaches_the_merged_config():
         "many_gt": 60, "few_lt": 10, "seed": 9,
     }
     args = build_parser().parse_args([*_argv("datagen", gen_values), "--out-dir", "out"])
-    _assert_typed_non_defaults(_gen_config(args), gen_values)
+    _assert_typed_non_defaults(_config(args, GenConfig), gen_values)
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +480,8 @@ def test_exit_1_for_config_values_of_the_wrong_type(pipeline, tmp_path, capsys):
         {"strict_alpha": 1}, {"epochs": True}, {"hidden": 4.0},
         # JSON's NaN and Infinity: a float setting must be finite.
         {"lr0": float("nan")}, {"weight_decay": float("inf")},
+        # A null is a value, not a setting left out, and these admit none.
+        {"gamma": None}, {"epochs": None},
     ):
         cfg_path.write_text(json.dumps(bad))
         assert main(train) == 1, bad
@@ -459,7 +491,7 @@ def test_exit_1_for_config_values_of_the_wrong_type(pipeline, tmp_path, capsys):
         {"feature_dim": "16"}, {"sigma": "0.9"}, {"n_groups": True}, {"n_classes": 50.5},
         {"rho": "abc"}, {"rho": [0.5, "x"]}, {"rho": [True]},
         {"explicit_counts": "x"}, {"explicit_counts": [150.7] + [150] * 49},
-        {"sigma": float("nan")}, {"rho": [0.5, float("-inf")]},
+        {"sigma": float("nan")}, {"rho": [0.5, float("-inf")]}, {"sigma": None},
     ):
         cfg_path.write_text(json.dumps(bad))
         assert main(datagen) == 1, bad
@@ -483,6 +515,21 @@ def test_exit_1_for_a_config_file_that_is_not_utf8(tmp_path, capsys):
 #: Train settings the fixture's dataset can train under, so that a refused
 #: flag is the only thing wrong with a command.
 TRAIN_SMALL = ("--epochs", "1", "--top-k", "2", "--reduced-dim", "4")
+
+#: The `no_few` fixture's dataset and bank, whose split has no few class.
+NO_FEW = ("--dataset", "{no_few}/dataset.json", "--bank", "{no_few}/bank.json")
+
+
+@pytest.fixture(scope="module")
+def no_few(pipeline):
+    """The pipeline's dataset with `few_lt` 1, so that no class is few, and
+    a bank trained on it."""
+    root = pipeline["root"] / "no_few"
+    shutil.copytree(pipeline["data"], root)
+    manifest = root / "dataset.json"
+    manifest.write_text(json.dumps(json.loads(manifest.read_text()) | {"few_lt": 1}))
+    assert main(["baseline", "--dataset", str(manifest), "--out-dir", str(root), "--epochs", "2"]) == 0
+    return root
 
 
 @pytest.mark.parametrize(
@@ -510,6 +557,8 @@ TRAIN_SMALL = ("--epochs", "1", "--top-k", "2", "--reduced-dim", "4")
         ["train", "--weight-decay", "inf", *TRAIN_SMALL],
         ["train", "--init-gain", "nan", *TRAIN_SMALL],
         ["train", "--init-gain", "inf", *TRAIN_SMALL],
+        ["train", *NO_FEW, *TRAIN_SMALL],
+        ["sweep", *NO_FEW, "--axis", "gamma", "--grid", "0.5", *TRAIN_SMALL],
     ],
     ids=["sweep-grid-fraction", "sweep-k-too-large", "sweep-grid-to-nan",
          "sweep-grid-step-too-small", "train-k-too-large",
@@ -517,17 +566,22 @@ TRAIN_SMALL = ("--epochs", "1", "--top-k", "2", "--reduced-dim", "4")
          "baseline-lr-nan", "datagen-sigma-nan", "datagen-mean-scale-inf",
          "datagen-group-spread-nan", "datagen-decay-exponent-nan", "train-lr0-nan",
          "train-lr0-inf", "train-weight-decay-nan", "train-weight-decay-inf",
-         "train-init-gain-nan", "train-init-gain-inf"],
+         "train-init-gain-nan", "train-init-gain-inf", "train-no-few-class",
+         "sweep-no-few-class"],
 )
-def test_rejected_command_creates_no_output_directory(pipeline, tmp_path, capsys, argv):
+def test_rejected_command_creates_no_output_directory(pipeline, no_few, tmp_path, capsys, argv):
     dataset = ["--dataset", str(pipeline["data"] / "dataset.json")]
     inputs = {
         "datagen": [],
         "baseline": dataset,
         "train": [*dataset, "--bank", str(pipeline["base"] / "bank.json")],
     }
+    if "--dataset" in argv:
+        argv = [arg.format(no_few=no_few) for arg in argv]
+    else:
+        argv = [*argv, *inputs.get(argv[0], inputs["train"])]
     out = tmp_path / "out"
-    rc = main([*argv, *inputs.get(argv[0], inputs["train"]), "--out-dir", str(out)])
+    rc = main([*argv, "--out-dir", str(out)])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.count("error:") == 1 and "Traceback" not in err

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import alphanet.numerics
+from alphanet.config import merge_config
 from alphanet.data import FeatureDataset, assign_splits
 from alphanet.datagen import GenConfig, count_profile, generate, train_baseline
 from alphanet.errors import ConfigError, TrainingError
@@ -152,8 +153,8 @@ def test_genconfig_validation():
         GenConfig(rho=1.5).validate()
     with pytest.raises(ConfigError):
         GenConfig(few_lt=20.5).validate()
-    with pytest.raises(ConfigError):
-        GenConfig.from_dict({"n_classes": 10, "bogus_knob": 1})
+    with pytest.raises(ConfigError, match="bogus_knob"):
+        merge_config(GenConfig, {"n_classes": 10, "bogus_knob": 1})
     for bad in (
         {"feature_dim": "16"}, {"n_classes": 50.5}, {"n_groups": True},
         {"seed": 1.5}, {"sigma": "0.9"}, {"decay_exponent": False},

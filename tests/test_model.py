@@ -399,6 +399,22 @@ def test_alpha_model_rejects_mismatched_submodule_count():
         )
 
 
+def test_a_split_with_no_few_class_builds_no_model():
+    """`build_model` refuses it as a setting, `AlphaModel` as an artifact."""
+    ds, bank = _small_problem()
+    no_few = replace(bank, split=assign_splits(ds.train_counts(), few_lt=1))
+    assert no_few.split.n_few == 0
+    with pytest.raises(ConfigError, match="no few class"):
+        build_model(no_few, ds)
+    shapes = [(0, 1), (0, 1), (0, 2, 1), (0, 1, 2), (0, 1), (0, 2, 1), (0, 2)]
+    neighbors, distances, reduced, *params = (np.zeros(shape) for shape in shapes)
+    with pytest.raises(IntegrityError, match="at least one few class"):
+        AlphaModel(
+            gamma=0.6, top_k=1, reduced_dim=1, hidden=1, slope=0.0, neighbors=neighbors,
+            distances=distances, reduced=reduced, params=params, bank=no_few,
+        )
+
+
 def test_strict_alpha_mode_raises_on_degenerate_forward():
     ds, bank = _small_problem()
     model = build_model(bank, ds, gamma=0.6, top_k=2, reduced_dim=3, seed=0,
@@ -895,7 +911,7 @@ def test_load_model_rejects_an_incomplete_manifest(tmp_path, cut):
 @settings(deadline=None, max_examples=25)
 @given(
     seed=st.integers(0, 2**31),
-    f=st.integers(0, 3),
+    f=st.integers(1, 3),
     k=st.integers(0, 3),
     d=st.integers(1, 3),
     h=st.integers(1, 3),
