@@ -5,7 +5,8 @@ only then creates its output directory and writes its outputs atomically,
 so a rejected command leaves nothing behind. `main` then writes the
 command's `run.json`: every flag it read, with its settings at their merged
 values, the seed, a git-describe string (when available), and wall time.
-Exit codes: 1 configuration error, 2 file/format error, 3 numeric failure.
+Exit codes: 1 configuration error (settings too large to allocate
+included), 2 file/format error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -197,6 +198,14 @@ def _load_pair(dataset: str | None, bank: str | None):
     return ds, classifiers, digest
 
 
+def _require_base(split) -> None:
+    """A split with no base class has nothing to compose from: `baseline`
+    refuses it, as `generate` does, and `eval` would find no nearest base
+    class for its classwise table."""
+    if split.n_base == 0:
+        raise ConfigError("no class qualifies as base; adjust counts or thresholds")
+
+
 def _config(args, cls):
     """The settings dataclass `cls`: its defaults, then the `--config` file,
     then the flags given."""
@@ -275,6 +284,7 @@ def _top1_line(report) -> str:
 
 def cmd_baseline(args) -> tuple[Path, None]:
     ds = load_dataset(_require_file(args.dataset, "--dataset"))
+    _require_base(ds.split())
     bank = train_baseline(
         ds,
         epochs=args.epochs,
@@ -313,6 +323,7 @@ def cmd_train(args) -> tuple[Path, RunConfig]:
 
 def cmd_eval(args) -> tuple[Path, None]:
     ds, bank, digest = _load_pair(args.dataset, args.bank)
+    _require_base(bank.split)
     composed = load_bank(_require_file(args.composed, "--composed"))
     base = list(bank.split.base_ids)
     if composed.split != bank.split or any(
@@ -431,4 +442,7 @@ def main(argv=None) -> int:
     except (NumericError, TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 1
     return 0

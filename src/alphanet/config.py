@@ -88,6 +88,8 @@ class RunConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.weight_decay < 0.0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.init_gain <= 0.0:

@@ -116,6 +116,12 @@ class SplitSpec:
         marks the few-class samples."""
         return _read_only(np.array([lab == FEW for lab in self.labels], dtype=bool))
 
+    @cached_property
+    def split_code(self) -> np.ndarray:
+        """Read-only per-class index of its split in `SPLIT_NAMES` (many 0,
+        medium 1, few 2): `split_code[labels]` gives each sample's split."""
+        return _read_only(np.array([SPLIT_NAMES.index(lab) for lab in self.labels], dtype=np.intp))
+
     @property
     def n_few(self) -> int:
         return len(self.few_ids)

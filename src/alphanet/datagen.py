@@ -16,6 +16,7 @@ composition to have headroom.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -77,6 +78,11 @@ class GenConfig:
             raise ConfigError(f"n_groups must be >= 0, got {self.n_groups}")
         if self.group_spread <= 0:
             raise ConfigError(f"group_spread must be positive, got {self.group_spread}")
+        # numpy's generator refuses a scale whose sign bit is set, -0.0 too.
+        if math.copysign(1.0, self.mean_scale) < 0:
+            raise ConfigError(f"mean_scale must be >= 0, got {self.mean_scale}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for r in np.atleast_1d(np.asarray(self.rho, dtype=np.float64)):
             if not 0.0 <= r <= 1.0:
                 raise ConfigError(f"rho values must lie in [0, 1], got {r}")
@@ -121,58 +127,60 @@ def generate(cfg: GenConfig) -> tuple[FeatureDataset, SplitSpec, np.ndarray]:
     """Draw a dataset from the config. Returns (dataset, split, true class means).
 
     Train counts follow the decay profile; val and test are balanced per
-    class. Fully deterministic given cfg.seed.
+    class. Fully deterministic given cfg.seed. Settings whose draws overflow
+    (`mean_scale` 1e308, say) give non-finite features, which the dataset
+    refuses with a NumericError; numpy's warnings would only repeat it.
     """
     cfg.validate()
-    counts = count_profile(cfg)
-    split = assign_splits(counts, many_gt=cfg.many_gt, few_lt=cfg.few_lt)
-    if split.n_few == 0:
-        raise ConfigError(
-            f"no class qualifies as few under threshold {cfg.few_lt}; "
-            f"smallest count is {counts.min()}"
-        )
-    if split.n_base == 0:
-        raise ConfigError("no class qualifies as base; adjust counts or thresholds")
-
-    rng = np.random.default_rng(cfg.seed)
-    n, d = cfg.n_classes, cfg.feature_dim
-    means = rng.normal(0.0, cfg.mean_scale, size=(n, d))
-    base_ids = np.asarray(split.base_ids)
-    if cfg.n_groups > 0:
-        # Base means clump around shared group centers; few-class fresh
-        # components stay independent draws so rho=0 means no inheritance.
-        centers = rng.normal(0.0, cfg.mean_scale, size=(cfg.n_groups, d))
-        for j, c in enumerate(split.base_ids):
-            means[c] = centers[j % cfg.n_groups] + cfg.group_spread * cfg.mean_scale * rng.normal(
-                0.0, 1.0, size=d
+    with np.errstate(over="ignore", invalid="ignore"):
+        counts = count_profile(cfg)
+        split = assign_splits(counts, many_gt=cfg.many_gt, few_lt=cfg.few_lt)
+        if split.n_few == 0:
+            raise ConfigError(
+                f"no class qualifies as few under threshold {cfg.few_lt}; "
+                f"smallest count is {counts.min()}"
             )
-    rhos = _few_rhos(cfg, split.n_few)
-    for rho, c in zip(rhos, split.few_ids):
-        parent = int(rng.choice(base_ids))
-        means[c] = rho * means[parent] + (1.0 - rho) * means[c]
+        if split.n_base == 0:
+            raise ConfigError("no class qualifies as base; adjust counts or thresholds")
 
-    # One matrix, filled class by class: each class's train, val and test
-    # samples in that order, with partition codes 0, 1 and 2.
-    per_class = counts + cfg.val_per_class + cfg.test_per_class
-    features = np.empty((int(per_class.sum()), d))
-    partitions = np.full(features.shape[0], 2, dtype=np.uint8)
-    start = 0
-    for c, m in enumerate(per_class):
-        features[start : start + m] = rng.normal(means[c], cfg.sigma, size=(m, d))
-        val_start = start + counts[c]
-        partitions[start:val_start] = 0
-        partitions[val_start : val_start + cfg.val_per_class] = 1
-        start += m
+        rng = np.random.default_rng(cfg.seed)
+        n, d = cfg.n_classes, cfg.feature_dim
+        means = rng.normal(0.0, cfg.mean_scale, size=(n, d))
+        base_ids = np.asarray(split.base_ids)
+        if cfg.n_groups > 0:
+            # Base means clump around shared group centers; few-class fresh
+            # components stay independent draws so rho=0 means no inheritance.
+            centers = rng.normal(0.0, cfg.mean_scale, size=(cfg.n_groups, d))
+            spread = cfg.group_spread * cfg.mean_scale
+            for j, c in enumerate(split.base_ids):
+                means[c] = centers[j % cfg.n_groups] + spread * rng.normal(0.0, 1.0, size=d)
+        rhos = _few_rhos(cfg, split.n_few)
+        for rho, c in zip(rhos, split.few_ids):
+            parent = int(rng.choice(base_ids))
+            means[c] = rho * means[parent] + (1.0 - rho) * means[c]
 
-    ds = FeatureDataset(
-        features=features,
-        labels=np.repeat(np.arange(n, dtype=np.int64), per_class),
-        partitions=partitions,
-        n_classes=n,
-        many_gt=cfg.many_gt,
-        few_lt=cfg.few_lt,
-    )
-    return ds, split, means
+        # One matrix, filled class by class: each class's train, val and test
+        # samples in that order, with partition codes 0, 1 and 2.
+        per_class = counts + cfg.val_per_class + cfg.test_per_class
+        features = np.empty((int(per_class.sum()), d))
+        partitions = np.full(features.shape[0], 2, dtype=np.uint8)
+        start = 0
+        for c, m in enumerate(per_class):
+            features[start : start + m] = rng.normal(means[c], cfg.sigma, size=(m, d))
+            val_start = start + counts[c]
+            partitions[start:val_start] = 0
+            partitions[val_start : val_start + cfg.val_per_class] = 1
+            start += m
+
+        ds = FeatureDataset(
+            features=features,
+            labels=np.repeat(np.arange(n, dtype=np.int64), per_class),
+            partitions=partitions,
+            n_classes=n,
+            many_gt=cfg.many_gt,
+            few_lt=cfg.few_lt,
+        )
+        return ds, split, means
 
 
 def train_baseline(
@@ -201,6 +209,8 @@ def train_baseline(
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if not 0.0 <= momentum < 1.0:
         raise ConfigError(f"momentum must be in [0, 1), got {momentum}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     train_idx = ds.indices("train")
     if train_idx.size == 0:
         raise ConfigError("train partition is empty")

@@ -13,6 +13,7 @@ base samples; base classifiers stay frozen throughout.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
@@ -378,7 +379,7 @@ def _few_scores_vjp(
     # Fancy indexing returns an F-ordered copy; C order fixes the summation
     # order of the column sums.
     g_few = np.ascontiguousarray(g_scores[:, few])
-    return g_few.T @ features, g_few.sum(axis=0)
+    return g_few.T @ features, np.add.reduce(g_few, axis=0)
 
 
 def loss_and_grads(
@@ -397,7 +398,9 @@ def loss_and_grads(
         raise ShapeError(f"batch features must be 2-D and nonempty, got {features.shape}")
     n, n_classes = features.shape[0], model.bank.n_classes
     # An out-of-range label would read another row's score in the kernel.
-    if labels.shape != (n,) or not (0 <= labels.min() and labels.max() < n_classes):
+    if labels.shape != (n,) or not (
+        0 <= np.minimum.reduce(labels) and np.maximum.reduce(labels) < n_classes
+    ):
         raise ShapeError(f"labels must be {n} class ids in [0, {n_classes})")
     fc2_w = model.params[2]
     pre, hidden, raw, norm, alpha = _alpha_forward(model)
@@ -408,9 +411,13 @@ def loss_and_grads(
     g_scores[:, few] = features @ u.T + t
     label_shifted, total, _ = _softmax_xent(g_scores, labels)
     losses = np.log(total[:, 0]) - label_shifted
-    if not np.isfinite(losses).all():
-        bad = int(np.argmax(~np.isfinite(losses)))
-        raise NumericError(f"non-finite loss for sample {bad}")
+    # The bits of `losses.mean()`. The samples are scanned only when it is
+    # not finite; finite losses whose sum overflows go on as that mean did.
+    loss = float(np.add.reduce(losses) / n)
+    if not math.isfinite(loss):
+        bad = np.flatnonzero(~np.isfinite(losses))
+        if bad.size:
+            raise NumericError(f"non-finite loss for sample {bad[0]}")
     g_scores *= 1.0 / n
 
     # Backward through each stage in reverse.
@@ -422,7 +429,7 @@ def loss_and_grads(
     g_pre = leaky_relu_vjp(pre, model.slope, g_hidden)
     # The flat inputs are frozen, so their gradient is skipped.
     g_fc1_w, _, g_fc1_b = affine_vjp(None, model.flat_inputs, g_pre)
-    return float(losses.mean()), [g_fc1_w, g_fc1_b, g_fc2_w, g_fc2_b]
+    return loss, [g_fc1_w, g_fc1_b, g_fc2_w, g_fc2_b]
 
 
 def flatten_params(model: AlphaModel) -> np.ndarray:

@@ -10,6 +10,10 @@ has a `*_vjp` function that maps the gradient of its output to the gradients
 of its inputs; `model.loss_and_grads` chains them. `_sgd_epochs` is the one
 epoch/batch loop of both trainers. `finite_diff_check` is the harness the
 tests use to certify the gradients against central differences.
+
+Reductions call `np.add.reduce` and `np.maximum.reduce` directly: `np.sum`,
+`.max()` and `.mean()` wrap the same ufuncs, so the bits are theirs, but the
+wrappers' Python layers cost more than the reduction on these small arrays.
 """
 
 from __future__ import annotations
@@ -62,7 +66,9 @@ def affine(m: np.ndarray, v: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError(f"affine: matrix {m.shape} incompatible with bias {b.shape}")
     # An explicit length-1 axis keeps every batch entry on the matrix-vector
     # product that a lone 2-D @ 1-D call takes, so the bits agree.
-    return np.matmul(m, v[..., None])[..., 0] + b
+    out = np.matmul(m, v[..., None])[..., 0]
+    out += b
+    return out
 
 
 def leaky_relu(v: np.ndarray, slope: float) -> np.ndarray:
@@ -83,13 +89,14 @@ def abs_normalize(v: np.ndarray, strict: bool = True) -> np.ndarray:
     the strict result.
     """
     v = np.asarray(v, dtype=np.float64)
-    s = np.sum(np.abs(v), axis=-1, keepdims=True)
-    degenerate = s <= DEGENERATE_EPS
-    if strict and np.any(degenerate):
-        raise DegenerateAlphaError(
-            "cannot normalize near-zero vector "
-            f"(sum of |entries| = {float(s[degenerate][0]):g})"
-        )
+    s = np.add.reduce(np.abs(v), axis=-1, keepdims=True)
+    if strict:
+        degenerate = s <= DEGENERATE_EPS
+        if degenerate.any():
+            raise DegenerateAlphaError(
+                "cannot normalize near-zero vector "
+                f"(sum of |entries| = {float(s[degenerate][0]):g})"
+            )
     return v / np.maximum(s, DEGENERATE_EPS)
 
 
@@ -101,12 +108,10 @@ def cap_floor_clamp(v: np.ndarray, cap: float, floor: float) -> np.ndarray:
     from absorbing all the weight and the floor keeps every neighbor alive.
     """
     v = np.asarray(v, dtype=np.float64)
-    out = v.copy()
-    head = out[..., 0]
-    out[..., 0] = np.where(np.abs(head) > cap, cap * np.sign(head), head)
-    rest = out[..., 1:]
     # sign'(0) = +1: a zero coordinate is pushed to +floor.
-    rest[...] = np.where(np.abs(rest) < floor, np.where(rest >= 0.0, floor, -floor), rest)
+    out = np.where(np.abs(v) < floor, np.where(v >= 0.0, floor, -floor), v)
+    # The first coordinate takes no floor: it is clipped to [-cap, cap] instead.
+    out[..., 0] = np.minimum(np.maximum(v[..., 0], -cap), cap)
     return out
 
 
@@ -130,7 +135,7 @@ def leaky_relu_vjp(v: np.ndarray, slope: float, g: np.ndarray) -> np.ndarray:
 def abs_normalize_vjp(v: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradient of `abs_normalize(v)` with respect to v, by the quotient rule:
     d(v_j/S)/d(v_k) = delta_jk/S - v_j sign(v_k)/S^2."""
-    s = np.maximum(np.sum(np.abs(v), axis=-1, keepdims=True), DEGENERATE_EPS)
+    s = np.maximum(np.add.reduce(np.abs(v), axis=-1, keepdims=True), DEGENERATE_EPS)
     g_dot = np.matmul(g[..., None, :], v[..., :, None])[..., 0]
     return g / s - (g_dot / (s * s)) * np.sign(v)
 
@@ -148,13 +153,13 @@ def _softmax_xent(g: np.ndarray, labels: np.ndarray):
     `g` then holds n times the batch-mean gradient. Returns the shifted label
     scores, the row sums of the exponentials, (n, 1), and the label
     probabilities."""
-    g -= g.max(axis=-1, keepdims=True)
+    g -= np.maximum.reduce(g, axis=-1, keepdims=True)
     # Row i's label entry, at flat index i * N + label of a view of `g`.
     flat = g.reshape(-1)
     at = np.arange(0, flat.size, g.shape[1]) + labels
     label_shifted = flat[at]
     np.exp(g, out=g)
-    total = g.sum(axis=-1, keepdims=True)
+    total = np.add.reduce(g, axis=-1, keepdims=True)
     g /= total
     label_probs = flat[at]
     flat[at] = label_probs - 1.0

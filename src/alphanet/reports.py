@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import RunConfig
-from .data import ClassifierBank, ComposedBank, FeatureDataset, _atomic_write_bytes
+from .data import SPLIT_NAMES, ClassifierBank, ComposedBank, FeatureDataset, _atomic_write_bytes
 from .errors import ConfigError, NumericError, ShapeError
 from .model import AlphaModel, FitResult, build_model, export_composed, fit
 
@@ -59,13 +59,29 @@ def _check_scores(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, n
     return scores, _check_labels(labels, scores.shape)
 
 
-def _count_ahead(scores: np.ndarray, label_scores: np.ndarray, lower_id: np.ndarray) -> np.ndarray:
+def _count_ahead(
+    scores: np.ndarray, label_scores: np.ndarray, columns: np.ndarray, labels: np.ndarray, own: int
+) -> np.ndarray:
     """Per row, the columns that rank ahead of the row's label score: a
-    strictly higher score, or an equal one where `lower_id` marks the
-    column's class id as lower than the label."""
-    ahead = scores > label_scores[:, None]
-    ahead |= (scores == label_scores[:, None]) & lower_id
-    return np.count_nonzero(ahead, axis=1)
+    strictly higher score, or an equal one in a column whose class id
+    (`columns` holds each column's) is lower than the row's label.
+
+    The strictly higher scores are counted in one pass. `own` rows hold
+    their label's column, whose score is their label score, so the matrix
+    holds at least `own` equal scores; only when it holds more does the
+    lower-id rule run, and then only on the rows that hold an equal score.
+    """
+    label_scores = label_scores[:, None]
+    # int32 counts reduce faster than intp; a row has fewer than 2**31 columns.
+    ranks = np.add.reduce(scores > label_scores, axis=1, dtype=np.int32)
+    at_least = scores >= label_scores
+    if np.count_nonzero(at_least) > np.add.reduce(ranks) + own:
+        tied = np.flatnonzero(np.add.reduce(at_least, axis=1, dtype=np.int32) > ranks)
+        equal = scores[tied] == label_scores[tied]
+        ranks[tied] += np.add.reduce(
+            equal & (columns < labels[tied, None]), axis=1, dtype=np.int32
+        )
+    return ranks
 
 
 def _label_ranks(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -77,7 +93,7 @@ def _label_ranks(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
     disjoint column sets add up to the count over their union.
     """
     label_scores = np.take_along_axis(scores, labels[:, None], axis=1)[:, 0]
-    return _count_ahead(scores, label_scores, np.arange(scores.shape[1]) < labels[:, None])
+    return _count_ahead(scores, label_scores, np.arange(scores.shape[1]), labels, labels.size)
 
 
 def topk_accuracy(scores: np.ndarray, labels: np.ndarray, k: int) -> float:
@@ -89,7 +105,7 @@ def topk_accuracy(scores: np.ndarray, labels: np.ndarray, k: int) -> float:
         raise ConfigError(f"k={k} must be in [1, {n_classes}]")
     if labels.size == 0:
         raise ConfigError("topk_accuracy: empty batch")
-    return float(np.mean(_label_ranks(scores, labels) < k))
+    return int(np.count_nonzero(_label_ranks(scores, labels) < k)) / labels.size
 
 
 def top1_predictions(scores: np.ndarray) -> np.ndarray:
@@ -125,14 +141,13 @@ class SplitReport:
         }
 
 
-def _split_masks(labels: np.ndarray, split, n_columns: int) -> list[tuple[str, np.ndarray]]:
-    """The many, medium and few splits, each with its row mask; a split with
-    no samples is absent. The split must label every score column, so that
-    its three splits cover every row."""
+def _split_codes(labels: np.ndarray, split, n_columns: int) -> np.ndarray:
+    """Each row's split, as its index in `SPLIT_NAMES` (many, medium, few).
+    The split must label every score column, so that its three splits cover
+    every row."""
     if split.n_classes != n_columns:
         raise ShapeError(f"split of {split.n_classes} classes for {n_columns} score columns")
-    masks = [(name, np.isin(labels, split.ids_of(name))) for name in ("many", "medium", "few")]
-    return [(name, mask) for name, mask in masks if mask.any()]
+    return split.split_code[labels]
 
 
 def _tally(counts: dict[str, tuple[int, int, int]]) -> dict[str, SplitAccuracy]:
@@ -155,16 +170,19 @@ def split_report(scores: np.ndarray, labels: np.ndarray, split) -> SplitReport:
     """
     scores, labels = _check_scores(scores, labels)
     k5 = min(5, scores.shape[1])
+    codes = _split_codes(labels, split, scores.shape[1])
     predictions = np.argmax(scores, axis=1)
-    hits = predictions == labels
+    top1 = np.bincount(codes[predictions == labels], minlength=len(SPLIT_NAMES))
     counts = {}
-    for name, mask in _split_masks(labels, split, scores.shape[1]):
-        rows = np.flatnonzero(mask)
+    for code, name in enumerate(SPLIT_NAMES):
+        rows = np.flatnonzero(codes == code)
+        if not rows.size:
+            continue
         top5 = 0
         for start in range(0, rows.size, _ROW_BLOCK):
             block = rows[start : start + _ROW_BLOCK]
             top5 += round(topk_accuracy(scores[block], labels[block], k5) * block.size)
-        counts[name] = (int(np.count_nonzero(hits[rows])), top5, rows.size)
+        counts[name] = (int(top1[code]), top5, rows.size)
     return SplitReport(per_split=_tally(counts), predictions=predictions)
 
 
@@ -184,7 +202,7 @@ def bank_report(bank: ClassifierBank, ds: FeatureDataset, partition: str) -> Spl
     (`round(acc * n)`, exact) are summed, so the report and its
     `predictions` equal those of the whole matrix."""
     idx = ds.indices(partition)
-    sums = {name: [0, 0, 0] for name in ("many", "medium", "few")}
+    sums = {name: [0, 0, 0] for name in SPLIT_NAMES}
     predictions = []
     for block in _row_blocks(idx.size):
         rows = idx[block]
@@ -209,54 +227,60 @@ class _FewColumnReport:
     columns. Each call takes the few-class block, (n, F) in `few_ids` order,
     checks that it is finite, adds each base-labelled row's count of few
     columns ahead of its label to that stored rank, and ranks only the
-    few-labelled rows against their full row. Ranks are integer counts, so
-    the report equals `split_report` on the assembled matrix bit for bit.
+    few-labelled rows against their full row. One `bincount` of the rows'
+    split codes and ranks (capped at k5) then gives every split's hits.
+    Ranks are integer counts, so the report equals `split_report` on the
+    assembled matrix bit for bit.
     """
 
     def __init__(self, scores: np.ndarray, labels: np.ndarray, split):
         scores = np.asarray(scores, dtype=np.float64)
-        labels = _check_labels(labels, scores.shape)
-        self.splits = _split_masks(labels, split, scores.shape[1])
-        base = np.array(split.base_ids, dtype=np.intp)
-        few = split.few_index
-        base_scores = _check_matrix(scores[:, base])
+        self.labels = _check_labels(labels, scores.shape)
+        self.codes = _split_codes(self.labels, split, scores.shape[1])
+        self.base = np.array(split.base_ids, dtype=np.intp)
+        self.few = split.few_index
+        base_scores = _check_matrix(scores[:, self.base])
         # Column of each class within its own block, base or few.
         column = np.empty(scores.shape[1], dtype=np.intp)
-        column[base], column[few] = np.arange(base.size), np.arange(few.size)
-        is_few = split.is_few[labels]
+        column[self.base], column[self.few] = np.arange(self.base.size), np.arange(self.few.size)
+        is_few = split.is_few[self.labels]
         self.base_rows, self.few_rows = np.flatnonzero(~is_few), np.flatnonzero(is_few)
-        y_base, y_few = labels[self.base_rows], labels[self.few_rows]
+        y_base, self.y_few = self.labels[self.base_rows], self.labels[self.few_rows]
 
-        self.label_scores = np.empty(labels.size)
+        self.label_scores = np.empty(self.labels.size)
         self.label_scores[self.base_rows] = base_scores[self.base_rows, column[y_base]]
         self.base_ranks = _count_ahead(
-            base_scores[self.base_rows], self.label_scores[self.base_rows], base < y_base[:, None]
+            base_scores[self.base_rows], self.label_scores[self.base_rows], self.base, y_base,
+            y_base.size,
         )
-        self.few_label_column = column[y_few]
+        self.few_label_column = column[self.y_few]
         self.few_row_scores = base_scores[self.few_rows]
-        self.few_row_lower_base = base < y_few[:, None]
-        self.lower_few = few < labels[:, None]
         self.k5 = min(5, scores.shape[1])
 
     def __call__(self, few_scores: np.ndarray) -> SplitReport:
         few_scores = np.asarray(few_scores, dtype=np.float64)
-        if few_scores.shape != self.lower_few.shape:
-            raise ShapeError(
-                f"few-class scores {few_scores.shape}, expected {self.lower_few.shape}"
-            )
+        expected = (self.labels.size, self.few.size)
+        if few_scores.shape != expected:
+            raise ShapeError(f"few-class scores {few_scores.shape}, expected {expected}")
         if not np.isfinite(few_scores).all():
             raise NumericError("few-class validation scores are not finite")
         label_scores = self.label_scores.copy()
         label_scores[self.few_rows] = few_scores[self.few_rows, self.few_label_column]
-        ranks = _count_ahead(few_scores, label_scores, self.lower_few)
+        ranks = _count_ahead(few_scores, label_scores, self.few, self.labels, self.few_rows.size)
         ranks[self.base_rows] += self.base_ranks
         ranks[self.few_rows] += _count_ahead(
-            self.few_row_scores, label_scores[self.few_rows], self.few_row_lower_base
+            self.few_row_scores, label_scores[self.few_rows], self.base, self.y_few, 0
         )
-        counts = {}
-        for name, mask in self.splits:
-            r = ranks[mask]
-            counts[name] = (np.count_nonzero(r < 1), np.count_nonzero(r < self.k5), r.size)
+        # Per split, how many rows rank 0, 1, ..., k5 - 1 and k5 or lower.
+        width = self.k5 + 1
+        hist = np.bincount(
+            self.codes * width + np.minimum(ranks, self.k5), minlength=len(SPLIT_NAMES) * width
+        ).reshape(len(SPLIT_NAMES), width)
+        counts = {
+            name: (int(h[0]), int(h[: self.k5].sum()), int(h.sum()))
+            for name, h in zip(SPLIT_NAMES, hist)
+            if h.any()
+        }
         return SplitReport(per_split=_tally(counts))
 
 

@@ -1,11 +1,16 @@
 """End-to-end command-line runs: artifacts, reproducibility, exit codes."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import tempfile
+import warnings
 import weakref
 import xml.etree.ElementTree as ET
 from dataclasses import fields
@@ -13,12 +18,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from alphanet import cli
 from alphanet.cli import _config, _parse_grid, _run_config, build_parser, main
 from alphanet.config import RunConfig
-from alphanet.data import ClassifierBank, load_bank, load_dataset, save_dataset
-from alphanet.datagen import GenConfig
+from alphanet.data import ClassifierBank, load_bank, load_dataset, save_bank, save_dataset
+from alphanet.datagen import GenConfig, train_baseline
 from alphanet.errors import ConfigError
 from alphanet.model import load_model
 from alphanet.reports import nn_distance_map
@@ -520,6 +527,25 @@ TRAIN_SMALL = ("--epochs", "1", "--top-k", "2", "--reduced-dim", "4")
 NO_FEW = ("--dataset", "{no_few}/dataset.json", "--bank", "{no_few}/bank.json")
 
 
+#: The `all_few` fixture's dataset and bank, whose split has no base class.
+ALL_FEW = ("--dataset", "{all_few}/dataset.json", "--bank", "{all_few}/bank.json")
+
+
+@pytest.fixture(scope="module")
+def all_few(pipeline):
+    """The pipeline's dataset with `few_lt` 1000 and `many_gt` 2000, so that
+    every class is few, and a bank trained on it by `train_baseline` (the
+    `baseline` command refuses such a split)."""
+    root = pipeline["root"] / "all_few"
+    shutil.copytree(pipeline["data"], root)
+    manifest = root / "dataset.json"
+    manifest.write_text(
+        json.dumps(json.loads(manifest.read_text()) | {"few_lt": 1000, "many_gt": 2000})
+    )
+    save_bank(root / "bank.json", train_baseline(load_dataset(manifest), epochs=2))
+    return root
+
+
 @pytest.fixture(scope="module")
 def no_few(pipeline):
     """The pipeline's dataset with `few_lt` 1, so that no class is few, and
@@ -559,6 +585,14 @@ def no_few(pipeline):
         ["train", "--init-gain", "inf", *TRAIN_SMALL],
         ["train", *NO_FEW, *TRAIN_SMALL],
         ["sweep", *NO_FEW, "--axis", "gamma", "--grid", "0.5", *TRAIN_SMALL],
+        # numpy's generator refuses a negative scale or seed with a ValueError.
+        ["datagen", "--mean-scale", "-1"],
+        ["datagen", "--mean-scale=-0.0"],
+        ["datagen", "--seed", "-1"],
+        ["baseline", "--seed", "-1"],
+        ["train", "--seed", "-1", *TRAIN_SMALL],
+        ["baseline", *ALL_FEW[:2]],
+        ["eval", *ALL_FEW, "--composed", "{all_few}/bank.json"],
     ],
     ids=["sweep-grid-fraction", "sweep-k-too-large", "sweep-grid-to-nan",
          "sweep-grid-step-too-small", "train-k-too-large",
@@ -567,9 +601,14 @@ def no_few(pipeline):
          "datagen-group-spread-nan", "datagen-decay-exponent-nan", "train-lr0-nan",
          "train-lr0-inf", "train-weight-decay-nan", "train-weight-decay-inf",
          "train-init-gain-nan", "train-init-gain-inf", "train-no-few-class",
-         "sweep-no-few-class"],
+         "sweep-no-few-class", "datagen-negative-mean-scale", "datagen-mean-scale-negative-zero",
+         "datagen-negative-seed",
+         "baseline-negative-seed", "train-negative-seed", "baseline-no-base-class",
+         "eval-no-base-class"],
 )
-def test_rejected_command_creates_no_output_directory(pipeline, no_few, tmp_path, capsys, argv):
+def test_rejected_command_creates_no_output_directory(
+    pipeline, no_few, all_few, tmp_path, capsys, argv
+):
     dataset = ["--dataset", str(pipeline["data"] / "dataset.json")]
     inputs = {
         "datagen": [],
@@ -577,7 +616,7 @@ def test_rejected_command_creates_no_output_directory(pipeline, no_few, tmp_path
         "train": [*dataset, "--bank", str(pipeline["base"] / "bank.json")],
     }
     if "--dataset" in argv:
-        argv = [arg.format(no_few=no_few) for arg in argv]
+        argv = [arg.format(no_few=no_few, all_few=all_few) for arg in argv]
     else:
         argv = [*argv, *inputs.get(argv[0], inputs["train"])]
     out = tmp_path / "out"
@@ -586,6 +625,126 @@ def test_rejected_command_creates_no_output_directory(pipeline, no_few, tmp_path
     assert rc == 1
     assert err.count("error:") == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+def test_datagen_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    """A size setting numpy cannot allocate for ends in exit 1. The
+    allocation is faked: a real oversized request can succeed under memory
+    overcommit and then exhaust the machine as it is filled."""
+
+    def refuse(cfg):
+        raise MemoryError("Unable to allocate 596. GiB for an array with shape (100000000, 800)")
+
+    monkeypatch.setattr(cli, "generate", refuse)
+    out = tmp_path / "out"
+    assert main(["datagen", "--out-dir", str(out), "--n-classes", "100000000"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: out of memory: Unable to allocate 596. GiB for an array with shape (100000000, 800)"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags", [["--mean-scale", "1e308"], ["--n-groups", "3", "--group-spread", "1e308"]]
+)
+def test_datagen_overflow_prints_only_the_numeric_error(tmp_path, capsys, flags):
+    """Draws that overflow give non-finite features: exit 3 with the
+    dataset's NumericError as the only line on stderr, no numpy warning."""
+    out = tmp_path / "out"
+    assert main(["datagen", "--out-dir", str(out), *flags]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: dataset features contain non-finite entries"
+    ]
+    assert not out.exists()
+
+
+#: Largest value drawn for each `datagen` setting that sizes an array, so that
+#: no example allocates more than about 6 MB (60 classes of at most 300 + 50
+#: + 50 samples at dim 32). Every other setting is drawn unbounded.
+DATAGEN_SIZE_BOUNDS = {
+    "n_classes": 60, "feature_dim": 32, "head_count": 300, "tail_count": 300,
+    "explicit_counts": 300, "n_groups": 60, "val_per_class": 50, "test_per_class": 50,
+}
+
+#: Flag values that are no setting at all, or an extreme one.
+HOSTILE = ["0", "-0.0", "-1", "nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "1.5", "abc", ""]
+
+
+def _datagen_value(field):
+    """Text for the flag of GenConfig `field`: a hostile value, or one of
+    its type, bounded where it sizes an array; lists are comma lists."""
+    bound = DATAGEN_SIZE_BOUNDS.get(field.name)
+    if "int" in field.type:
+        number = st.integers(-3, bound) if bound else st.integers(-(10**30), 10**30)
+    else:
+        number = st.floats(-2.0, 2.0) | st.floats(allow_nan=True, allow_infinity=True)
+    text = number.map(str)
+    if "list" in field.type:
+        text = text | st.lists(number, max_size=8).map(lambda xs: ",".join(map(str, xs)))
+    return text | st.sampled_from(HOSTILE)
+
+
+@st.composite
+def _datagen_flags(draw):
+    """One to three `--name=value` flags, the other settings at their
+    defaults, so that one bad value is not hidden behind another."""
+    chosen = draw(st.lists(st.sampled_from(fields(GenConfig)), min_size=1, max_size=3,
+                           unique_by=lambda f: f.name))
+    return [f"--{f.name.replace('_', '-')}={draw(_datagen_value(f))}" for f in chosen]
+
+
+class _ExampleTimeout(Exception):
+    """An example ran past its deadline (not an OSError, which main would
+    report as exit 2)."""
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Raise `_ExampleTimeout` in the test's thread once `seconds` pass."""
+
+    def expire(signum, frame):
+        raise _ExampleTimeout(f"example ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@settings(deadline=None, max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+@given(flags=_datagen_flags())
+def test_datagen_exit_code_contract(tmp_path_factory, flags):
+    """Any `datagen` settings end in exit 0, 1, 2 or 3, in-process, within a
+    deadline. A success writes finite features; a refusal prints exactly one
+    `error:` line and leaves no output directory; no run prints a traceback
+    or a warning."""
+    work = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
+    out = work / "out"
+    err = io.StringIO()
+    try:
+        with (
+            _deadline(20.0),
+            warnings.catch_warnings(record=True) as caught,
+            contextlib.redirect_stdout(io.StringIO()),
+            contextlib.redirect_stderr(err),
+        ):
+            warnings.simplefilter("always")
+            rc = main(["datagen", "--out-dir", str(out), *flags])
+        assert rc in (0, 1, 2, 3)
+        assert not caught, [str(w.message) for w in caught]
+        if rc == 0:
+            assert err.getvalue() == ""
+            assert np.isfinite(load_dataset(out / "dataset.json").features).all()
+        else:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert not out.exists()
+    finally:
+        shutil.rmtree(work)
 
 
 def test_exit_2_for_corrupt_tensor_file(pipeline, tmp_path, capsys):

@@ -151,6 +151,9 @@ def test_genconfig_validation():
         GenConfig(sigma=0.0).validate()
     with pytest.raises(ConfigError):
         GenConfig(rho=1.5).validate()
+    for bad in ({"mean_scale": -1.0}, {"mean_scale": -0.0}, {"seed": -1}):
+        with pytest.raises(ConfigError, match=f"{next(iter(bad))} must be >= 0"):
+            GenConfig(**bad).validate()
     with pytest.raises(ConfigError):
         GenConfig(few_lt=20.5).validate()
     with pytest.raises(ConfigError, match="bogus_knob"):
