@@ -51,11 +51,10 @@ from .reports import (
     SplitReport,
     bank_report,
     classwise_report,
-    gamma_sweep,
     run_training,
     split_report,
+    sweep,
     topk_accuracy,
-    topk_sweep,
 )
 
 __version__ = "0.1.0"

@@ -46,9 +46,8 @@ from .reports import (
     REPORT_SPLITS,
     _classwise,
     bank_report,
-    gamma_sweep,
     run_training,
-    topk_sweep,
+    sweep,
     write_classwise_csv,
     write_split_report_csv,
     write_sweep_csv,
@@ -359,24 +358,20 @@ def cmd_eval(args) -> tuple[Path, None]:
     return out, None
 
 
+#: Each `sweep --axis`: the `RunConfig` field its cells set, the number type
+#: of its grid values, and its chart label.
+_SWEEP_AXES = {"gamma": ("gamma", float, "gamma"), "topk": ("top_k", int, "top K")}
+
+
 def cmd_sweep(args) -> tuple[Path, RunConfig]:
     cfg = _run_config(args)
-    values = _parse_grid(args.grid, float if args.axis == "gamma" else int)
+    param, cast, x_label = _SWEEP_AXES[args.axis]
+    values = _parse_grid(args.grid, cast)
     ds, bank, _ = _load_pair(cfg.dataset, cfg.bank)
-    if args.axis == "gamma":
-        rows = gamma_sweep(bank, ds, cfg, values, partition=args.partition)
-        x_label = "gamma"
-    else:
-        rows = topk_sweep(bank, ds, cfg, values, partition=args.partition)
-        x_label = "top K"
+    rows = sweep(bank, ds, cfg, param, values, partition=args.partition)
     out = _out_dir(cfg.out_dir)
     write_sweep_csv(out / "sweep.csv", rows)
-    write_sweep_svg(
-        out / "sweep.svg",
-        rows,
-        title=f"top-1 accuracy vs {x_label}",
-        x_label=x_label,
-    )
+    write_sweep_svg(out / "sweep.svg", rows, title=f"top-1 accuracy vs {x_label}", x_label=x_label)
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} cells)")
     return out, cfg
 
@@ -419,7 +414,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="train once per grid value and tabulate accuracy")
     _add_config_flags(p, RunConfig)
-    p.add_argument("--axis", choices=("gamma", "topk"), required=True)
+    p.add_argument("--axis", choices=tuple(_SWEEP_AXES), required=True)
     p.add_argument("--grid", required=True, help="lo:hi:step or comma-separated values")
     p.add_argument("--partition", choices=("train", "val", "test"), default="test")
     p.set_defaults(func=cmd_sweep)

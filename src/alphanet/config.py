@@ -42,6 +42,23 @@ def check_field_types(cfg, names=None, error=ConfigError) -> None:
             raise error(f"{f.name} must be of type {f.type}, got {value!r}")
 
 
+#: The most bytes one numpy array can span: the largest signed 64-bit int.
+MAX_ARRAY_BYTES = 2**63 - 1
+
+
+def check_array_size(what: str, *shape: int, itemsize: int = 8) -> None:
+    """Refuse an array that numpy cannot size at all: positive dimensions
+    `shape` of `itemsize`-byte entries that take more than `MAX_ARRAY_BYTES`.
+    `what` names the settings that size it. The product is exact in Python
+    ints, so no dimension wraps; a smaller array that memory cannot hold
+    ends in a MemoryError instead."""
+    if math.prod(shape) * itemsize > MAX_ARRAY_BYTES:
+        raise ConfigError(
+            f"{what} is too large: a {' x '.join(map(str, shape))} array "
+            f"would take more than {MAX_ARRAY_BYTES} bytes"
+        )
+
+
 @dataclass
 class RunConfig:
     """Everything a training run or sweep needs besides the data itself. The

@@ -130,11 +130,6 @@ class SplitSpec:
     def n_base(self) -> int:
         return len(self.base_ids)
 
-    def ids_of(self, split_name: str) -> tuple[int, ...]:
-        if split_name not in SPLIT_NAMES:
-            raise ConfigError(f"unknown split name {split_name!r}")
-        return tuple(i for i, lab in enumerate(self.labels) if lab == split_name)
-
 
 def assign_splits(train_counts, many_gt: int = MANY_GT, few_lt: int = FEW_LT) -> SplitSpec:
     """Label classes by train-set size: many > `many_gt`, few < `few_lt`,

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import check_field_types
+from .config import check_array_size, check_field_types
 from .data import FEW_LT, MANY_GT, ClassifierBank, FeatureDataset, SplitSpec, assign_splits
 from .errors import ConfigError, TrainingError
 from .numerics import _sgd_epochs, _softmax_xent
@@ -94,22 +94,35 @@ class GenConfig:
 
 def count_profile(cfg: GenConfig) -> np.ndarray:
     """Per-class train counts, head first. Power-law interpolation between
-    head_count and tail_count unless explicit counts are given."""
+    head_count and tail_count unless explicit counts are given. Counts that,
+    with `n_classes` and the per-class val and test samples, size a feature
+    matrix numpy cannot hold are refused, before any count is cast."""
+    n, d = cfg.n_classes, cfg.feature_dim
+    check_array_size(f"n_classes {n} with feature_dim {d}", n, d)
     if cfg.explicit_counts is not None:
-        counts = np.asarray(cfg.explicit_counts, dtype=np.int64)
-        if counts.shape != (cfg.n_classes,):
-            raise ConfigError(
-                f"explicit_counts has {counts.size} entries for {cfg.n_classes} classes"
-            )
-        if counts.min() < 1:
+        counts = cfg.explicit_counts
+        if len(counts) != n:
+            raise ConfigError(f"explicit_counts has {len(counts)} entries for {n} classes")
+        if min(counts) < 1:
             raise ConfigError("explicit_counts must all be >= 1")
-        return counts
-    n = cfg.n_classes
-    frac = (n - 1 - np.arange(n)) / (n - 1)
-    counts = np.round(
-        cfg.tail_count + (cfg.head_count - cfg.tail_count) * frac**cfg.decay_exponent
-    ).astype(np.int64)
-    return counts
+    else:
+        # A head count past float range would overflow the profile's
+        # arithmetic, so one that no array could hold is refused first.
+        check_array_size(f"head_count {cfg.head_count}", cfg.head_count, itemsize=1)
+        frac = (n - 1 - np.arange(n)) / (n - 1)
+        profile = np.round(
+            cfg.tail_count + (cfg.head_count - cfg.tail_count) * frac**cfg.decay_exponent
+        )
+        counts = [int(c) for c in profile.tolist()]
+    source = f"head_count {cfg.head_count}" if cfg.explicit_counts is None else "explicit_counts"
+    rows = sum(counts) + n * (cfg.val_per_class + cfg.test_per_class)
+    check_array_size(
+        f"{source} with val_per_class {cfg.val_per_class} and test_per_class "
+        f"{cfg.test_per_class} ({rows} samples)",
+        rows,
+        d,
+    )
+    return np.array(counts, dtype=np.int64)
 
 
 def _few_rhos(cfg: GenConfig, n_few: int) -> np.ndarray:
@@ -148,6 +161,7 @@ def generate(cfg: GenConfig) -> tuple[FeatureDataset, SplitSpec, np.ndarray]:
         means = rng.normal(0.0, cfg.mean_scale, size=(n, d))
         base_ids = np.asarray(split.base_ids)
         if cfg.n_groups > 0:
+            check_array_size(f"n_groups {cfg.n_groups} with feature_dim {d}", cfg.n_groups, d)
             # Base means clump around shared group centers; few-class fresh
             # components stay independent draws so rho=0 means no inheritance.
             centers = rng.normal(0.0, cfg.mean_scale, size=(cfg.n_groups, d))

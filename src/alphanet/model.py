@@ -18,7 +18,7 @@ from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
-from .config import _has_type, check_field_types
+from .config import _has_type, check_array_size, check_field_types
 from .data import (
     ClassifierBank,
     ComposedBank,
@@ -304,6 +304,7 @@ def build_model(
     members = np.column_stack([np.array(split.few_ids, dtype=np.int64), neighbors])
     reduced = pca_apply(proj, bank.weights[members])
     f, kp1 = split.n_few, top_k + 1
+    check_array_size(f"hidden {hidden}", f, hidden, kp1 * reduced_dim)
     shapes = [(f, hidden, kp1 * reduced_dim), (f, hidden), (f, kp1, hidden), (f, kp1)]
     params = [np.empty(shape) for shape in shapes]
     rng = np.random.default_rng(seed)

@@ -1,4 +1,4 @@
-"""Split-wise accuracy metrics, per-class improvement tables, sweep drivers,
+"""Split-wise accuracy metrics, per-class improvement tables, the sweep driver,
 and CSV/SVG emission.
 
 Score ties are broken by lower class id everywhere, which keeps every metric
@@ -435,7 +435,7 @@ class SweepRow:
     report: SplitReport
 
 
-def _sweep(
+def sweep(
     bank: ClassifierBank,
     ds: FeatureDataset,
     cfg: RunConfig,
@@ -443,45 +443,19 @@ def _sweep(
     values,
     partition: str = "test",
 ) -> list[SweepRow]:
+    """One full train+eval per value of the `RunConfig` field `param`, shared
+    data and seed. Every cell's settings, its `top_k` against the bank's base
+    classes included, and the partition are checked before any cell trains."""
     configs = [replace(cfg, **{param: value}).validate() for value in values]
+    for c in configs:
+        if c.top_k > bank.split.n_base:
+            raise ConfigError(f"sweep top_k must be in [0, {bank.split.n_base}], got {c.top_k}")
     ds.indices(partition)  # an unknown partition is refused before any cell trains
-
-    def cell(c: RunConfig) -> SplitReport:
+    rows = []
+    for c in configs:
         _, composed = run_training(bank, ds, c)
-        return bank_report(composed, ds, partition)
-
-    reports = [cell(c) for c in configs]
-    return [
-        SweepRow(param=param, value=float(v), report=r)
-        for v, r in zip(values, reports)
-    ]
-
-
-def gamma_sweep(
-    bank: ClassifierBank,
-    ds: FeatureDataset,
-    cfg: RunConfig,
-    gammas,
-    partition: str = "test",
-) -> list[SweepRow]:
-    """One full train+eval per gamma value, shared data and seed."""
-    return _sweep(bank, ds, cfg, "gamma", list(gammas), partition)
-
-
-def topk_sweep(
-    bank: ClassifierBank,
-    ds: FeatureDataset,
-    cfg: RunConfig,
-    ks,
-    partition: str = "test",
-) -> list[SweepRow]:
-    """One full train+eval per neighbor count, shared data and seed."""
-    for k in ks:
-        if not 0 <= k <= bank.split.n_base:
-            raise ConfigError(
-                f"sweep k must be in [0, {bank.split.n_base}], got {k}"
-            )
-    return _sweep(bank, ds, cfg, "top_k", [int(k) for k in ks], partition)
+        rows.append(SweepRow(param, float(getattr(c, param)), bank_report(composed, ds, partition)))
+    return rows
 
 
 # ---------------------------------------------------------------------------

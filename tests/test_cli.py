@@ -558,6 +558,30 @@ def no_few(pipeline):
     return root
 
 
+#: Size settings past what one numpy array can hold, by test id, each with
+#: the setting its error names: they are refused before any count wraps or
+#: any array is sized. 2**62 and 10**20 classes, dims, groups or samples, a
+#: head count past 2**63 (10**23) or at 2**63 - 1, and an explicit count of
+#: 2**63.
+OVERSIZED = {
+    "datagen-explicit-count-2**63": (
+        ["datagen", "--n-classes", "3", "--explicit-counts", f"300,30,{2**63}"], "explicit_counts"
+    ),
+    "datagen-feature-dim-2**62": (["datagen", "--feature-dim", str(2**62)], "feature_dim"),
+    "datagen-feature-dim-1e20": (["datagen", "--feature-dim", str(10**20)], "feature_dim"),
+    "datagen-n-classes-2**62": (["datagen", "--n-classes", str(2**62)], "n_classes"),
+    "datagen-n-classes-1e20": (["datagen", "--n-classes", str(10**20)], "n_classes"),
+    "datagen-n-groups-2**62": (["datagen", "--n-groups", str(2**62)], "n_groups"),
+    "datagen-n-groups-1e20": (["datagen", "--n-groups", str(10**20)], "n_groups"),
+    "datagen-val-per-class-2**62": (["datagen", "--val-per-class", str(2**62)], "val_per_class"),
+    "datagen-val-per-class-1e20": (["datagen", "--val-per-class", str(10**20)], "val_per_class"),
+    "datagen-head-count-1e23": (["datagen", "--head-count", str(10**23)], "head_count"),
+    "datagen-head-count-2**63-1": (["datagen", "--head-count", str(2**63 - 1)], "head_count"),
+    "train-hidden-2**62": (["train", "--hidden", str(2**62), *TRAIN_SMALL], "hidden"),
+    "train-hidden-1e20": (["train", "--hidden", str(10**20), *TRAIN_SMALL], "hidden"),
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -593,6 +617,7 @@ def no_few(pipeline):
         ["train", "--seed", "-1", *TRAIN_SMALL],
         ["baseline", *ALL_FEW[:2]],
         ["eval", *ALL_FEW, "--composed", "{all_few}/bank.json"],
+        *(argv for argv, _ in OVERSIZED.values()),
     ],
     ids=["sweep-grid-fraction", "sweep-k-too-large", "sweep-grid-to-nan",
          "sweep-grid-step-too-small", "train-k-too-large",
@@ -604,11 +629,12 @@ def no_few(pipeline):
          "sweep-no-few-class", "datagen-negative-mean-scale", "datagen-mean-scale-negative-zero",
          "datagen-negative-seed",
          "baseline-negative-seed", "train-negative-seed", "baseline-no-base-class",
-         "eval-no-base-class"],
+         "eval-no-base-class", *OVERSIZED],
 )
 def test_rejected_command_creates_no_output_directory(
     pipeline, no_few, all_few, tmp_path, capsys, argv
 ):
+    setting = {tuple(a): name for a, name in OVERSIZED.values()}.get(tuple(argv))
     dataset = ["--dataset", str(pipeline["data"] / "dataset.json")]
     inputs = {
         "datagen": [],
@@ -625,6 +651,7 @@ def test_rejected_command_creates_no_output_directory(
     assert rc == 1
     assert err.count("error:") == 1 and "Traceback" not in err
     assert not out.exists()
+    assert setting is None or setting in err
 
 
 def test_datagen_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
@@ -739,6 +766,87 @@ def test_datagen_exit_code_contract(tmp_path_factory, flags):
         if rc == 0:
             assert err.getvalue() == ""
             assert np.isfinite(load_dataset(out / "dataset.json").features).all()
+        else:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert not out.exists()
+    finally:
+        shutil.rmtree(work)
+
+
+#: Each axis's grid values: valid ones and, among them, values out of
+#: (0, 1] and float extremes for gamma; fractions, a negative count and
+#: counts above the fixture's 7 base classes (8 to 14) for top K.
+SWEEP_VALUES = {
+    "gamma": st.sampled_from([0.0, -0.2, 1.0, 1.5, 5e-324, 1e308]) | st.floats(0.05, 1.0),
+    "topk": st.integers(-1, 14) | st.sampled_from([0.5, 1.5, 2.0]),
+}
+
+#: Range bounds a grid can never end or start from.
+NON_FINITE = ["nan", "inf", "-inf"]
+
+
+@st.composite
+def _sweep_grid(draw, axis: str):
+    """A `--grid` of at most 3 values, and how many values it lists. A range
+    is `lo:lo+n*step:step` for n <= 2, with its bounds reversed, one bound
+    non-finite, or a step too small to advance from the bounds; a list has
+    0 to 3 entries."""
+    value = SWEEP_VALUES[axis]
+    if draw(st.booleans()):
+        values = draw(st.lists(value, max_size=3))
+        return ",".join(map(str, values)), len(values)
+    lo, n = draw(value), draw(st.integers(0, 2))
+    step = draw(st.floats(0.05, 1.0) | st.sampled_from([0.5, 1.0, 2.0, 1e-30, 1e-300, 5e-324]))
+    bounds = [str(lo), str(lo + n * step)]
+    if draw(st.booleans()):
+        bounds.reverse()
+    if draw(st.booleans()):
+        bounds[draw(st.integers(0, 1))] = draw(st.sampled_from(NON_FINITE))
+    return f"{bounds[0]}:{bounds[1]}:{step}", n + 1
+
+
+@st.composite
+def _sweep_flags(draw):
+    """`--axis`, its `--grid`, the cells' top_k and 0 or 1 epochs, with the
+    number of cells the grid lists."""
+    axis = draw(st.sampled_from(["gamma", "topk"]))
+    grid, cells = draw(_sweep_grid(axis))
+    flags = [
+        "--axis", axis, f"--grid={grid}", "--top-k", str(draw(st.sampled_from([2, 13]))),
+        "--epochs", str(draw(st.integers(0, 1))), "--reduced-dim", "4",
+    ]
+    return flags, cells
+
+
+@settings(deadline=None, max_examples=100, suppress_health_check=[HealthCheck.too_slow])
+@given(drawn=_sweep_flags())
+def test_sweep_exit_code_contract(pipeline, drawn):
+    """Any `sweep` axis and grid end in exit 0, 1, 2 or 3, in-process, within
+    a deadline. A success writes one `sweep.csv` row per cell for each split
+    the test partition holds and for "all"; a refusal prints exactly one
+    `error:` line and leaves no output directory."""
+    flags, cells = drawn
+    data = pipeline["data"] / "dataset.json"
+    ds = load_dataset(data)
+    per_cell = len({ds.split().labels[y] for y in ds.labels[ds.indices("test")]}) + 1
+    work = Path(tempfile.mkdtemp(dir=pipeline["root"]))
+    out = work / "out"
+    err = io.StringIO()
+    try:
+        with (
+            _deadline(10.0),
+            contextlib.redirect_stdout(io.StringIO()),
+            contextlib.redirect_stderr(err),
+        ):
+            rc = main([
+                "sweep", "--dataset", str(data), "--bank", str(pipeline["base"] / "bank.json"),
+                "--out-dir", str(out), *flags,
+            ])
+        assert rc in (0, 1, 2, 3)
+        if rc == 0:
+            assert err.getvalue() == ""
+            assert len((out / "sweep.csv").read_text().splitlines()) == 1 + per_cell * cells
         else:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), lines

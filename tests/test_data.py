@@ -40,7 +40,7 @@ def test_assign_splits_derived_sets():
     assert split.few_ids == (2, 3)
     assert split.base_ids == (0, 1)
     assert split.n_classes == split.n_base + split.n_few
-    assert split.ids_of("many") == (0,)
+    assert tuple(c for c, lab in enumerate(split.labels) if lab == "many") == (0,)
 
 
 def test_assign_splits_rejects_bad_input():

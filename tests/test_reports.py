@@ -1,7 +1,8 @@
-"""Accuracy metrics, classwise tables, sweep drivers, and CSV/SVG emission."""
+"""Accuracy metrics, classwise tables, the sweep driver, and CSV/SVG emission."""
 
 import tracemalloc
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,14 +27,13 @@ from alphanet.reports import (
     _classwise,
     bank_report,
     classwise_report,
-    gamma_sweep,
     line_chart,
     nn_distance_map,
     run_training,
     split_report,
+    sweep,
     top1_predictions,
     topk_accuracy,
-    topk_sweep,
     write_classwise_csv,
     write_split_report_csv,
     write_sweep_csv,
@@ -180,9 +180,17 @@ def _argsort_topk(scores, labels, k):
     return float(np.mean(np.any(order == labels[:, None], axis=1)))
 
 
+def _split_masks(labels, split):
+    """Each split's row mask, from the class ids that `split.labels` gives it."""
+    return [
+        (name, np.isin(labels, [c for c, lab in enumerate(split.labels) if lab == name]))
+        for name in ("many", "medium", "few")
+    ]
+
+
 def _argsort_split_report(scores, labels, split):
     k5 = min(5, scores.shape[1])
-    groups = [(name, np.isin(labels, split.ids_of(name))) for name in ("many", "medium", "few")]
+    groups = _split_masks(labels, split)
     groups.append(("all", np.ones(labels.shape, dtype=bool)))
     return {
         name: {
@@ -274,8 +282,7 @@ def _eight_call_split_report(scores, labels, split):
     each on a copy of the split's rows, and two more over all rows."""
     scores = np.asarray(scores, dtype=np.float64)
     k5 = min(5, scores.shape[1])
-    groups = [(name, np.isin(labels, split.ids_of(name))) for name in ("many", "medium", "few")]
-    groups = [(name, mask) for name, mask in groups if mask.any()]
+    groups = [(name, mask) for name, mask in _split_masks(labels, split) if mask.any()]
     per_split = {}
     for name, mask in groups + ([("all", None)] if labels.size else []):
         rows, y = (scores, labels) if mask is None else (scores[mask], labels[mask])
@@ -677,12 +684,12 @@ def test_run_training_returns_result_and_composed(tiny_run):
 
 def test_gamma_sweep_rows_and_determinism(tiny_run):
     ds, bank, cfg = tiny_run
-    rows = gamma_sweep(bank, ds, cfg, [0.4, 0.8])
+    rows = sweep(bank, ds, cfg, "gamma", [0.4, 0.8])
     assert [r.param for r in rows] == ["gamma", "gamma"]
     assert [r.value for r in rows] == [0.4, 0.8]
     for r in rows:
         assert "few" in r.report.per_split
-    again = gamma_sweep(bank, ds, cfg, [0.4, 0.8])
+    again = sweep(bank, ds, cfg, "gamma", [0.4, 0.8])
     assert [r.report.to_dict() for r in rows] == [r.report.to_dict() for r in again]
 
 
@@ -690,20 +697,24 @@ def test_sweep_value_ranges_are_validated(tiny_run, monkeypatch):
     ds, bank, cfg = tiny_run
     monkeypatch.setattr(reports_module, "run_training", None)  # nothing may train
     with pytest.raises(ConfigError, match="unknown partition"):
-        gamma_sweep(bank, ds, cfg, [0.4], partition="nope")
+        sweep(bank, ds, cfg, "gamma", [0.4], partition="nope")
     with pytest.raises(ConfigError):
-        gamma_sweep(bank, ds, cfg, [0.0])
+        sweep(bank, ds, cfg, "gamma", [0.0])
     with pytest.raises(ConfigError):
-        gamma_sweep(bank, ds, cfg, [1.2])
+        sweep(bank, ds, cfg, "gamma", [1.2])
+    with pytest.raises(ConfigError, match="top_k"):
+        sweep(bank, ds, cfg, "top_k", [bank.split.n_base + 1])
     with pytest.raises(ConfigError):
-        topk_sweep(bank, ds, cfg, [bank.split.n_base + 1])
-    with pytest.raises(ConfigError):
-        topk_sweep(bank, ds, cfg, [-1])
+        sweep(bank, ds, cfg, "top_k", [-1])
+    # A gamma sweep's cells keep the settings' top_k, which the bank must admit too.
+    too_many = replace(cfg, top_k=bank.split.n_base + 1)
+    with pytest.raises(ConfigError, match="top_k"):
+        sweep(bank, ds, too_many, "gamma", [0.4, 0.8])
 
 
 def test_topk_sweep_includes_the_no_neighbor_edge(tiny_run):
     ds, bank, cfg = tiny_run
-    rows = topk_sweep(bank, ds, cfg, [0, 2], partition="val")
+    rows = sweep(bank, ds, cfg, "top_k", [0, 2], partition="val")
     assert [r.value for r in rows] == [0.0, 2.0]
     for r in rows:
         acc = r.report.accuracy("all")
