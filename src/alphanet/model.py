@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import _has_type, check_array_size, check_field_types
+from .config import RunConfig, _has_type, check_array_size, check_field_types
 from .data import (
     ClassifierBank,
     ComposedBank,
@@ -130,35 +130,6 @@ class SubModule:
     fc2_b: np.ndarray  # (k+1,)
 
 
-def init_submodule(
-    rng: np.random.Generator,
-    in_dim: int,
-    hidden: int,
-    n_out: int,
-    gamma: float,
-    init_gain: float,
-    init_margin: float,
-) -> SubModule:
-    """Uniform +-1/sqrt(fan-in) weights; the output bias points the initial
-    coefficients at [~gamma, ~(1-gamma)/k, ...] so training starts near the
-    original weak classifier but strictly inside the clamp region."""
-    s1 = 1.0 / np.sqrt(in_dim)
-    s2 = 1.0 / np.sqrt(hidden)
-    fc1_w = rng.uniform(-s1, s1, size=(hidden, in_dim))
-    fc1_b = rng.uniform(-s1, s1, size=hidden)
-    fc2_w = rng.uniform(-s2, s2, size=(n_out, hidden))
-    if n_out > 1:
-        a0 = gamma - init_margin * (gamma - 1.0 / n_out)
-        target = np.full(n_out, (1.0 - a0) / (n_out - 1))
-        target[0] = a0
-    else:
-        target = np.ones(1)
-    # Normalization is scale-invariant, so the gain only outweighs the
-    # fc2-weight contribution without changing the target direction.
-    fc2_b = init_gain * target
-    return SubModule(fc1_w=fc1_w, fc1_b=fc1_b, fc2_w=fc2_w, fc2_b=fc2_b)
-
-
 def submodule_forward(sub: SubModule, input_vec: np.ndarray, slope: float) -> AlphaVector:
     """fc1 -> leaky relu -> fc2, producing raw coefficients."""
     hidden = leaky_relu(affine(sub.fc1_w, np.asarray(input_vec, dtype=np.float64), sub.fc1_b), slope)
@@ -268,18 +239,22 @@ class AlphaModel:
 def build_model(
     bank: ClassifierBank,
     ds: FeatureDataset,
-    gamma: float = 0.6,
-    top_k: int = 5,
-    reduced_dim: int = 8,
-    hidden: int | None = None,
-    slope: float = 0.01,
-    seed: int = 0,
-    strict_alpha: bool = False,
-    init_gain: float = 2.5,
-    init_margin: float = 0.05,
+    gamma: float = RunConfig.gamma,
+    top_k: int = RunConfig.top_k,
+    reduced_dim: int = RunConfig.reduced_dim,
+    hidden: int | None = RunConfig.hidden,
+    slope: float = RunConfig.slope,
+    seed: int = RunConfig.seed,
+    strict_alpha: bool = RunConfig.strict_alpha,
+    init_gain: float = RunConfig.init_gain,
+    init_margin: float = RunConfig.init_margin,
 ) -> AlphaModel:
     """Select neighbors from class mean features, fit one shared PCA on the
-    bank's weight rows, and initialize a sub-module per few class."""
+    bank's weight rows, and initialize a sub-module per few class: uniform
+    +-1/sqrt(fan-in) weights, drawn class by class, and an fc2 bias that
+    points the initial coefficients at [~gamma, ~(1-gamma)/k, ...], so that
+    training starts near the original weak classifier but strictly inside
+    the clamp region."""
     if not 0.0 < gamma <= 1.0:
         raise ConfigError(f"gamma must be in (0, 1], got {gamma}")
     if not 0.0 <= slope < 1.0:
@@ -303,15 +278,25 @@ def build_model(
     neighbors, distances = ids[:, :top_k], dists[:, :top_k]
     members = np.column_stack([np.array(split.few_ids, dtype=np.int64), neighbors])
     reduced = pca_apply(proj, bank.weights[members])
-    f, kp1 = split.n_few, top_k + 1
-    check_array_size(f"hidden {hidden}", f, hidden, kp1 * reduced_dim)
-    shapes = [(f, hidden, kp1 * reduced_dim), (f, hidden), (f, kp1, hidden), (f, kp1)]
-    params = [np.empty(shape) for shape in shapes]
+    f, kp1, in_dim = split.n_few, top_k + 1, (top_k + 1) * reduced_dim
+    check_array_size(f"hidden {hidden}", f, hidden, in_dim)
+    fc1_w, fc1_b = np.empty((f, hidden, in_dim)), np.empty((f, hidden))
+    fc2_w = np.empty((f, kp1, hidden))
+    s1, s2 = 1.0 / np.sqrt(in_dim), 1.0 / np.sqrt(hidden)
     rng = np.random.default_rng(seed)
     for i in range(f):
-        sub = init_submodule(rng, kp1 * reduced_dim, hidden, kp1, gamma, init_gain, init_margin)
-        for stack, p in zip(params, astuple(sub)):
-            stack[i] = p
+        fc1_w[i] = rng.uniform(-s1, s1, size=(hidden, in_dim))
+        fc1_b[i] = rng.uniform(-s1, s1, size=hidden)
+        fc2_w[i] = rng.uniform(-s2, s2, size=(kp1, hidden))
+    if kp1 > 1:
+        a0 = gamma - init_margin * (gamma - 1.0 / kp1)
+        target = np.full(kp1, (1.0 - a0) / top_k)
+        target[0] = a0
+    else:
+        target = np.ones(1)
+    # Normalization is scale-invariant, so the gain only outweighs the
+    # fc2-weight contribution without changing the target direction.
+    fc2_b = np.broadcast_to(init_gain * target, (f, kp1))
     return AlphaModel(
         gamma=gamma,
         top_k=top_k,
@@ -321,7 +306,7 @@ def build_model(
         neighbors=neighbors,
         distances=distances,
         reduced=reduced,
-        params=params,
+        params=[fc1_w, fc1_b, fc2_w, fc2_b],
         bank=bank,
         strict_alpha=strict_alpha,
     )
@@ -478,22 +463,14 @@ class FitResult:
     best_few_top1: float
 
 
-def fit(
-    model: AlphaModel,
-    ds: FeatureDataset,
-    epochs: int = 100,
-    lr0: float = 0.1,
-    momentum: float = 0.9,
-    batch_size: int = 64,
-    seed: int = 0,
-    weight_decay: float = 0.0,
-    on_epoch=None,
-) -> FitResult:
+def fit(model: AlphaModel, ds: FeatureDataset, cfg: RunConfig, on_epoch=None) -> FitResult:
     """Train `model.params` in place and return a model holding a copy of the
     parameters from the epoch with the best few-split validation top-1 (ties
     keep the earlier epoch).
 
-    The learning rate decays by 0.1 every 20 epochs; a schedule that reaches
+    `cfg` is validated first. Of its settings, `fit` reads `epochs`, `lr0`,
+    `momentum`, `batch_size`, `seed` and `weight_decay`; the model carries
+    its own. The learning rate decays by 0.1 every 20 epochs; a schedule that reaches
     0 by its last epoch is a ConfigError. The per-epoch log
     records mean training loss, the learning rate, and validation top-1/top-5
     for each split. A non-finite loss is a TrainingError naming its epoch and
@@ -501,8 +478,8 @@ def fit(
     """
     from .reports import _FewColumnReport
 
-    if epochs < 0:
-        raise ConfigError(f"epochs must be >= 0, got {epochs}")
+    cfg.validate()
+    epochs, lr0, batch_size, weight_decay = cfg.epochs, cfg.lr0, cfg.batch_size, cfg.weight_decay
     # The rate underflows to 0 within a few hundred decays, which ends this scan.
     zero_at = next((e for e in range(0, epochs, 20) if not lr0 * 0.1 ** (e // 20) > 0.0), None)
     if zero_at is not None:
@@ -510,7 +487,7 @@ def fit(
             f"lr0 {lr0:g} decays to a learning rate of 0 at epoch {zero_at} of {epochs}: "
             "raise lr0 or lower epochs"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     split = model.bank.split
     val_x, val_y = ds.partition_arrays("val")
     train_idx = ds.indices("train")
@@ -552,7 +529,7 @@ def fit(
         for epoch, lr in _sgd_epochs(
             params, batch_grads, lambda: sample_epoch(rng, few_idx, base_idx), ds.features,
             ds.labels, 2 * few_idx.size, batch_size,
-            (lr0 * 0.1 ** (epoch // 20) for epoch in range(epochs)), momentum,
+            (lr0 * 0.1 ** (epoch // 20) for epoch in range(epochs)), cfg.momentum,
         ):
             u, t = _composed_few_rows(model)
             try:

@@ -414,17 +414,7 @@ def run_training(
         init_gain=cfg.init_gain,
         init_margin=cfg.init_margin,
     )
-    result = fit(
-        model,
-        ds,
-        epochs=cfg.epochs,
-        lr0=cfg.lr0,
-        momentum=cfg.momentum,
-        batch_size=cfg.batch_size,
-        seed=cfg.seed,
-        weight_decay=cfg.weight_decay,
-        on_epoch=on_epoch,
-    )
+    result = fit(model, ds, cfg, on_epoch)
     return result, export_composed(result.model)
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alphanet.config import RunConfig
 from alphanet.data import ClassifierBank, FeatureDataset, assign_splits
 from alphanet.datagen import GenConfig, generate, train_baseline
 import alphanet.numerics
@@ -371,7 +372,7 @@ def test_flatten_and_set_params_round_trip_through_one_copy():
 def test_copied_and_loaded_models_own_their_parameter_buffers(tmp_path):
     ds, bank = _small_problem()
     model = build_model(bank, ds, top_k=2, reduced_dim=3, seed=0)
-    result = fit(model, ds, epochs=2, seed=0)
+    result = fit(model, ds, RunConfig(epochs=2, seed=0))
     save_model(tmp_path / "model.json", model)
     others = (result.model, replace(model), load_model(tmp_path / "model.json", bank))
     for other in others:
@@ -619,7 +620,7 @@ def test_fit_zero_epochs_returns_initial_model():
     ds, bank = _small_problem()
     model = build_model(bank, ds, top_k=2, reduced_dim=3, seed=0)
     before = flatten_params(model).copy()
-    result = fit(model, ds, epochs=0)
+    result = fit(model, ds, RunConfig(epochs=0))
     assert result.log == []
     assert result.best_epoch == -1
     assert np.array_equal(flatten_params(result.model), before)
@@ -630,7 +631,7 @@ def test_fit_reports_epoch_and_batch_of_a_nonfinite_loss():
     model = build_model(bank, ds, top_k=2, reduced_dim=3, seed=0)
     model.submodules[0].fc2_b[1] = np.nan
     with pytest.raises(TrainingError, match="epoch 0, batch 0") as exc:
-        fit(model, ds, epochs=1)
+        fit(model, ds, RunConfig(epochs=1))
     assert isinstance(exc.value.__cause__, NumericError)
 
 
@@ -647,7 +648,7 @@ def test_fit_takes_one_optimizer_step_per_batch(monkeypatch):
     sgd_momentum_step = alphanet.numerics.sgd_momentum_step
     monkeypatch.setattr(alphanet.numerics, "sgd_momentum_step", counted)
     epochs, batch_size = 3, 5
-    result = fit(model, ds, epochs=epochs, batch_size=batch_size, weight_decay=1e-3)
+    result = fit(model, ds, RunConfig(epochs=epochs, batch_size=batch_size, weight_decay=1e-3))
     n_few = int(bank.split.is_few[ds.labels[ds.indices("train")]].sum())
     batches = -(-2 * n_few // batch_size)
     assert 2 * n_few % batch_size != 0  # the last batch of each epoch is partial
@@ -658,7 +659,7 @@ def test_fit_takes_one_optimizer_step_per_batch(monkeypatch):
 def test_fit_learning_rate_schedule():
     ds, bank = _small_problem()
     model = build_model(bank, ds, top_k=2, reduced_dim=3, seed=0)
-    result = fit(model, ds, epochs=41, lr0=0.1, seed=0)
+    result = fit(model, ds, RunConfig(epochs=41, lr0=0.1, seed=0))
     lrs = [entry["lr"] for entry in result.log]
     assert lrs[0] == pytest.approx(0.1)
     assert lrs[19] == pytest.approx(0.1)
@@ -671,7 +672,7 @@ def test_fit_is_bit_reproducible():
 
     def run():
         model = build_model(bank, ds, top_k=2, reduced_dim=3, seed=5)
-        return fit(model, ds, epochs=5, seed=5)
+        return fit(model, ds, RunConfig(epochs=5, seed=5))
 
     r1, r2 = run(), run()
     assert flatten_params(r1.model).tobytes() == flatten_params(r2.model).tobytes()
@@ -683,7 +684,7 @@ def test_fit_leaves_the_model_at_its_last_validated_parameters():
     ds, bank = _small_problem()
     model = build_model(bank, ds, top_k=2, reduced_dim=3, seed=5)
     before = flatten_params(model)
-    result = fit(model, ds, epochs=3, seed=5)
+    result = fit(model, ds, RunConfig(epochs=3, seed=5))
     assert not np.array_equal(flatten_params(model), before)
     x, y = ds.partition_arrays("val")
     report = split_report(export_composed(model).scores(x), y, bank.split)
@@ -704,7 +705,7 @@ def test_fit_validates_each_epoch_as_the_exported_bank_scores(gamma, top_k):
         assert entry["val"] == report.to_dict()
         seen.append(entry["epoch"])
 
-    fit(model, ds, epochs=4, seed=1, on_epoch=check)
+    fit(model, ds, RunConfig(epochs=4, seed=1), on_epoch=check)
     assert seen == [0, 1, 2, 3]
 
 
@@ -726,7 +727,7 @@ def test_fit_validates_each_epoch_as_split_report_of_the_assembled_scores(featur
         assert entry["val"] == split_report(scores, y, bank.split).to_dict()
         seen.append(entry["epoch"])
 
-    fit(model, ds, epochs=4, seed=2, on_epoch=check)
+    fit(model, ds, RunConfig(epochs=4, seed=2), on_epoch=check)
     assert seen == [0, 1, 2, 3]
 
 
@@ -735,7 +736,7 @@ def test_fit_ties_keep_the_earlier_epoch():
     model = build_model(bank, ds, top_k=2, reduced_dim=3, seed=0)
     # a vanishing learning rate freezes the model, so every epoch evaluates
     # to the same validation score and only the first can count as best
-    result = fit(model, ds, epochs=3, lr0=1e-12, seed=0)
+    result = fit(model, ds, RunConfig(epochs=3, lr0=1e-12, seed=0))
     assert result.best_epoch == 0
     assert result.best_few_top1 == result.log[0]["val"]["few"]["top1"]
 
@@ -743,7 +744,7 @@ def test_fit_ties_keep_the_earlier_epoch():
 def test_fit_keeps_base_rows_frozen_and_moves_few_rows():
     ds, bank = _small_problem()
     model = build_model(bank, ds, top_k=2, reduced_dim=3, seed=0)
-    result = fit(model, ds, epochs=4, seed=0)
+    result = fit(model, ds, RunConfig(epochs=4, seed=0))
     composed = export_composed(result.model)
     base_ids = list(bank.split.base_ids)
     assert composed.weights[base_ids].tobytes() == bank.weights[base_ids].tobytes()
@@ -755,7 +756,7 @@ def test_fit_keeps_base_rows_frozen_and_moves_few_rows():
 def test_fit_log_records_val_reports():
     ds, bank = _small_problem()
     model = build_model(bank, ds, top_k=2, reduced_dim=3, seed=0)
-    result = fit(model, ds, epochs=2, seed=0)
+    result = fit(model, ds, RunConfig(epochs=2, seed=0))
     for entry in result.log:
         assert set(entry) == {"epoch", "loss", "lr", "val"}
         assert "few" in entry["val"]
@@ -788,7 +789,29 @@ def test_fit_refuses_a_schedule_that_decays_to_zero():
     model = build_model(bank, ds, top_k=2, reduced_dim=3, seed=0)
     before = flatten_params(model)
     with pytest.raises(ConfigError, match="at epoch 6460 of 6461"):
-        fit(model, ds, epochs=6461)
+        fit(model, ds, RunConfig(epochs=6461))
+    assert flatten_params(model).tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+        ({"momentum": 1.5}, "momentum must be in [0, 1), got 1.5"),
+        ({"lr0": -1.0}, "lr0 must be positive, got -1.0"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"weight_decay": -1.0}, "weight_decay must be >= 0, got -1.0"),
+    ],
+)
+def test_fit_refuses_a_bad_setting_with_the_config_message(setting, message):
+    """`fit` validates its `RunConfig` before it trains: a bad setting is
+    `RunConfig.validate`'s ConfigError, and no parameter moves."""
+    ds, bank = _small_problem()
+    model = build_model(bank, ds, top_k=2, reduced_dim=3, seed=0)
+    before = flatten_params(model)
+    with pytest.raises(ConfigError) as exc:
+        fit(model, ds, RunConfig(epochs=1, **setting))
+    assert str(exc.value) == message
     assert flatten_params(model).tobytes() == before.tobytes()
 
 
@@ -799,7 +822,7 @@ def test_fit_refuses_a_schedule_that_decays_to_zero():
 def test_model_round_trip_is_bit_exact(tmp_path):
     ds, bank = _small_problem()
     model = build_model(bank, ds, top_k=2, reduced_dim=3, seed=0)
-    result = fit(model, ds, epochs=3, seed=0)
+    result = fit(model, ds, RunConfig(epochs=3, seed=0))
     save_model(tmp_path / "model.json", result.model)
     back = load_model(tmp_path / "model.json", bank)
     assert flatten_params(back).tobytes() == flatten_params(result.model).tobytes()
@@ -818,7 +841,7 @@ def test_model_round_trip_is_bit_exact(tmp_path):
 def test_submodules_are_views_of_the_stacked_parameters(tmp_path):
     ds, bank = _small_problem()
     model = build_model(bank, ds, top_k=2, reduced_dim=3, seed=0)
-    fitted = fit(model, ds, epochs=3, seed=0).model
+    fitted = fit(model, ds, RunConfig(epochs=3, seed=0)).model
     save_model(tmp_path / "model.json", fitted)
     for m in (model, fitted, load_model(tmp_path / "model.json", bank)):
         # export_composed's few rows are the per-class pipeline's, bit for bit

@@ -1,7 +1,6 @@
 """Primitive operations against brute-force oracles and finite differences."""
 
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from alphanet.model import (
     alpha_pipeline,
     clamp_alpha,
     flatten_params,
-    init_submodule,
     loss_and_grads,
     normalize_alpha,
     set_params,
@@ -521,14 +519,21 @@ def _random_model(rng, f, k, d, h, gamma):
         split=split,
     )
     reduced, subs = rng.normal(size=(f, k + 1, d)), []
+    # Uniform +-1/sqrt(fan-in) weights, the fc2 weights scaled down and the
+    # fc2 bias at 2.5 times the interior target [a0, (1-a0)/k, ...], so the
+    # coefficients stay near that target.
+    s1, s2 = 1.0 / np.sqrt((k + 1) * d), 1.0 / np.sqrt(h)
+    a0 = gamma - 0.5 * (gamma - 1.0 / (k + 1))
+    fc2_b = 2.5 * (np.array([a0] + [(1.0 - a0) / k] * k) if k else np.ones(1))
     for _ in split.few_ids:
-        sub = init_submodule(rng, (k + 1) * d, h, k + 1, gamma, 2.5, 0.5)
-        sub.fc2_w *= 0.05  # keep the coefficients near their interior target
-        subs.append(sub)
+        fc1_w = rng.uniform(-s1, s1, size=(h, (k + 1) * d))
+        fc1_b = rng.uniform(-s1, s1, size=h)
+        fc2_w = 0.05 * rng.uniform(-s2, s2, size=(k + 1, h))
+        subs.append((fc1_w, fc1_b, fc2_w, fc2_b))
     model = AlphaModel(
         gamma=gamma, top_k=k, reduced_dim=d, hidden=h, slope=0.01,
         neighbors=np.tile(np.arange(k), (f, 1)), distances=np.ones((f, k)), reduced=reduced,
-        params=[np.stack(g) for g in zip(*map(astuple, subs))], bank=bank,
+        params=[np.stack(g) for g in zip(*subs)], bank=bank,
     )
     features = rng.normal(scale=2.0, size=(5, dim))
     labels = rng.integers(0, n_base + f, size=5)
