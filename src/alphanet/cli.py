@@ -324,7 +324,7 @@ def cmd_eval(args) -> tuple[Path, None]:
     ds, bank, digest = _load_pair(args.dataset, args.bank)
     _require_base(bank.split)
     composed = load_bank(_require_file(args.composed, "--composed"))
-    base = list(bank.split.base_ids)
+    base = bank.split.base_index
     if composed.split != bank.split or any(
         a[base].tobytes() != b[base].tobytes()
         for a, b in ((composed.weights, bank.weights), (composed.biases, bank.biases))

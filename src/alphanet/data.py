@@ -111,6 +111,12 @@ class SplitSpec:
         return _read_only(np.array(self.few_ids, dtype=np.intp))
 
     @cached_property
+    def base_index(self) -> np.ndarray:
+        """`base_ids` as a read-only integer array, for indexing score columns
+        and weight rows."""
+        return _read_only(np.array(self.base_ids, dtype=np.intp))
+
+    @cached_property
     def is_few(self) -> np.ndarray:
         """Read-only per-class mask, true for few classes: `is_few[labels]`
         marks the few-class samples."""

@@ -159,7 +159,6 @@ def generate(cfg: GenConfig) -> tuple[FeatureDataset, SplitSpec, np.ndarray]:
         rng = np.random.default_rng(cfg.seed)
         n, d = cfg.n_classes, cfg.feature_dim
         means = rng.normal(0.0, cfg.mean_scale, size=(n, d))
-        base_ids = np.asarray(split.base_ids)
         if cfg.n_groups > 0:
             check_array_size(f"n_groups {cfg.n_groups} with feature_dim {d}", cfg.n_groups, d)
             # Base means clump around shared group centers; few-class fresh
@@ -170,7 +169,7 @@ def generate(cfg: GenConfig) -> tuple[FeatureDataset, SplitSpec, np.ndarray]:
                 means[c] = centers[j % cfg.n_groups] + spread * rng.normal(0.0, 1.0, size=d)
         rhos = _few_rhos(cfg, split.n_few)
         for rho, c in zip(rhos, split.few_ids):
-            parent = int(rng.choice(base_ids))
+            parent = int(rng.choice(split.base_index))
             means[c] = rho * means[parent] + (1.0 - rho) * means[c]
 
         # One matrix, filled class by class: each class's train, val and test

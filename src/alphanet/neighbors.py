@@ -94,7 +94,7 @@ def base_distances(means: np.ndarray, split: SplitSpec) -> tuple[np.ndarray, np.
     """Every few class's base classes by mean-feature distance, nearest
     first: ids and distances, both (F, B) with rows in `few_ids` order.
     Ties go to the lower id."""
-    base = np.array(split.base_ids, dtype=np.int64)
+    base = split.base_index
     diff = means[split.few_index, None, :] - means[base]
     # A 1 x 1 product per pair is the dot product that np.linalg.norm takes
     # for a lone vector, so every distance keeps its bits.

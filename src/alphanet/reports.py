@@ -237,7 +237,7 @@ class _FewColumnReport:
         scores = np.asarray(scores, dtype=np.float64)
         self.labels = _check_labels(labels, scores.shape)
         self.codes = _split_codes(self.labels, split, scores.shape[1])
-        self.base = np.array(split.base_ids, dtype=np.intp)
+        self.base = split.base_index
         self.few = split.few_index
         base_scores = _check_matrix(scores[:, self.base])
         # Column of each class within its own block, base or few.

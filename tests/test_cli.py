@@ -698,10 +698,11 @@ DATAGEN_SIZE_BOUNDS = {
 HOSTILE = ["0", "-0.0", "-1", "nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "1.5", "abc", ""]
 
 
-def _datagen_value(field):
-    """Text for the flag of GenConfig `field`: a hostile value, or one of
-    its type, bounded where it sizes an array; lists are comma lists."""
-    bound = DATAGEN_SIZE_BOUNDS.get(field.name)
+def _setting_value(field, bounds: dict):
+    """Text for the flag of settings `field`: a hostile value, or one of
+    its type, bounded by `bounds` where it sizes the work; lists are comma
+    lists."""
+    bound = bounds.get(field.name)
     if "int" in field.type:
         number = st.integers(-3, bound) if bound else st.integers(-(10**30), 10**30)
     else:
@@ -718,7 +719,7 @@ def _datagen_flags(draw):
     defaults, so that one bad value is not hidden behind another."""
     chosen = draw(st.lists(st.sampled_from(fields(GenConfig)), min_size=1, max_size=3,
                            unique_by=lambda f: f.name))
-    return [f"--{f.name.replace('_', '-')}={draw(_datagen_value(f))}" for f in chosen]
+    return [f"--{f.name.replace('_', '-')}={draw(_setting_value(f, DATAGEN_SIZE_BOUNDS))}" for f in chosen]
 
 
 class _ExampleTimeout(Exception):
@@ -847,6 +848,74 @@ def test_sweep_exit_code_contract(pipeline, drawn):
         if rc == 0:
             assert err.getvalue() == ""
             assert len((out / "sweep.csv").read_text().splitlines()) == 1 + per_cell * cells
+        else:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert not out.exists()
+    finally:
+        shutil.rmtree(work)
+
+
+#: Largest value drawn for each `train` setting that sizes the work: at most
+#: one epoch, and at most 64 hidden units (an fc1 stack of 64 x 24 per few
+#: class at the base flags' top K 2 and reduced dim 4). Every other setting
+#: is drawn unbounded: the fixture's 7 base classes and 6 feature dims refuse
+#: a larger `top_k` or `reduced_dim` before any array is sized.
+TRAIN_SIZE_BOUNDS = {"epochs": 1, "hidden": 64}
+
+#: The `RunConfig` fields that name files, which the test sets itself.
+TRAIN_PATHS = {"dataset", "bank", "out_dir"}
+
+
+@st.composite
+def _train_flags(draw):
+    """`--epochs` 0 or 1, then one to three `train` flags, each
+    `--name=value` (or `--[no-]strict-alpha`), which may override it; the
+    other settings at the fixture's."""
+    settings_ = [f for f in fields(RunConfig) if f.name not in TRAIN_PATHS]
+    chosen = draw(st.lists(st.sampled_from(settings_), min_size=1, max_size=3,
+                           unique_by=lambda f: f.name))
+    flags = [f"--epochs={draw(st.integers(0, 1))}"]
+    for f in chosen:
+        name = f.name.replace("_", "-")
+        if f.type == "bool":
+            flags.append(draw(st.sampled_from([f"--{name}", f"--no-{name}"])))
+        else:
+            flags.append(f"--{name}={draw(_setting_value(f, TRAIN_SIZE_BOUNDS))}")
+    return flags
+
+
+@settings(deadline=None, max_examples=100, suppress_health_check=[HealthCheck.too_slow])
+@given(flags=_train_flags())
+def test_train_exit_code_contract(pipeline, flags):
+    """Any `train` settings end in exit 0, 1, 2 or 3, in-process, within a
+    deadline. A success writes a model and a composed bank whose tensors are
+    finite and prints nothing to stderr; a refusal prints exactly one
+    `error:` line and leaves no output directory; no run raises a warning."""
+    data, bank = pipeline["data"] / "dataset.json", pipeline["base"] / "bank.json"
+    work = Path(tempfile.mkdtemp(dir=pipeline["root"]))
+    out = work / "out"
+    err = io.StringIO()
+    try:
+        with (
+            _deadline(5.0),
+            warnings.catch_warnings(record=True) as caught,
+            contextlib.redirect_stdout(io.StringIO()),
+            contextlib.redirect_stderr(err),
+        ):
+            warnings.simplefilter("always")
+            rc = main([
+                "train", "--dataset", str(data), "--bank", str(bank), "--out-dir", str(out),
+                "--top-k", "2", "--reduced-dim", "4", *flags,
+            ])
+        assert rc in (0, 1, 2, 3)
+        assert not caught, [str(w.message) for w in caught]
+        if rc == 0:
+            assert err.getvalue() == ""
+            model = load_model(out / "model.json", load_bank(bank))
+            composed = load_bank(out / "composed.json")
+            for tensor in (model.flat_params, composed.weights, composed.biases):
+                assert np.isfinite(tensor).all()
         else:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), lines

@@ -82,10 +82,14 @@ def test_splitspec_rejects_inconsistent_fields():
 def test_splitspec_few_index_and_mask_are_built_once_and_read_only():
     split = assign_splits([150, 5, 50, 3])
     assert split.few_index.tolist() == [1, 3]
+    assert split.base_index.tolist() == [0, 2]
     assert split.is_few.tolist() == [False, True, False, True]
     assert split.few_index is split.few_index and split.is_few is split.is_few
+    assert split.base_index is split.base_index
     with pytest.raises(ValueError):
         split.is_few[0] = True
+    with pytest.raises(ValueError):
+        split.base_index[0] = 1
     assert split == assign_splits([150, 5, 50, 3])
 
 
