@@ -133,11 +133,14 @@ def leaky_relu_vjp(v: np.ndarray, slope: float, g: np.ndarray) -> np.ndarray:
 
 
 def abs_normalize_vjp(v: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient of `abs_normalize(v)` with respect to v, by the quotient rule:
-    d(v_j/S)/d(v_k) = delta_jk/S - v_j sign(v_k)/S^2."""
+    """Gradient of `abs_normalize(v)` with respect to v, by the quotient rule
+    d(v_j/S)/d(v_k) = delta_jk/S - v_j sign(v_k)/S^2, summed against g as
+    (g - (g . (v/S)) sign(v)) / S. Every entry of v/S is at most 1, so no
+    intermediate overflows, as S^2 would from S = 2**512 on, and scaling v
+    by a power of two scales the gradient exactly by its inverse."""
     s = np.maximum(np.add.reduce(np.abs(v), axis=-1, keepdims=True), DEGENERATE_EPS)
-    g_dot = np.matmul(g[..., None, :], v[..., :, None])[..., 0]
-    return g / s - (g_dot / (s * s)) * np.sign(v)
+    g_dot = np.matmul(g[..., None, :], (v / s)[..., :, None])[..., 0]
+    return (g - g_dot * np.sign(v)) / s
 
 
 def cap_floor_clamp_vjp(v: np.ndarray, out: np.ndarray, g: np.ndarray) -> np.ndarray:

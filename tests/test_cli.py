@@ -924,6 +924,24 @@ def test_train_exit_code_contract(pipeline, flags):
         shutil.rmtree(work)
 
 
+def test_train_at_the_largest_init_gain_writes_finite_tensors(pipeline, tmp_path, capsys):
+    """At `--init-gain 1e308` the raw coefficients' absolute sum is near the
+    float maximum, and its square is not finite: the normalization's
+    gradient must not square it. One epoch of 8-sample batches trains and
+    writes finite tensors."""
+    out = tmp_path / "out"
+    bank = pipeline["base"] / "bank.json"
+    assert main([
+        "train", "--dataset", str(pipeline["data"] / "dataset.json"), "--bank", str(bank),
+        "--out-dir", str(out), "--init-gain", "1e308", "--batch-size", "8", *TRAIN_SMALL,
+    ]) == 0
+    assert capsys.readouterr().err == ""
+    model = load_model(out / "model.json", load_bank(bank))
+    composed = load_bank(out / "composed.json")
+    for tensor in (model.flat_params, composed.weights, composed.biases):
+        assert np.isfinite(tensor).all()
+
+
 def test_exit_2_for_corrupt_tensor_file(pipeline, tmp_path, capsys):
     data_copy = tmp_path / "data"
     shutil.copytree(pipeline["data"], data_copy)

@@ -424,6 +424,27 @@ def test_tape_abs_normalize_gradients(seed, f, n):
     _check_vjp(lambda x: abs_normalize(x, strict=False), v, g, abs_normalize_vjp(v, g))
 
 
+@settings(deadline=None, max_examples=50)
+@given(
+    seed=st.integers(0, 2**31), f=st.integers(1, 3), n=st.integers(1, 16),
+    e=st.integers(-400, 1000),
+)
+def test_abs_normalize_vjp_scales_exactly_with_its_input(seed, f, n, e):
+    """`abs_normalize_vjp(2**e * v, g) * 2**e == abs_normalize_vjp(v, g)` bit
+    for bit, across the float range: no intermediate overflows, as the square
+    of the absolute sum would from 2**512 on. `v` is scaled up by 2**-e for
+    a negative e, so that neither side falls below the degenerate floor.
+    Where a gradient entry of either side is subnormal, it has fewer bits to
+    keep, so such rare draws are skipped."""
+    rng = np.random.default_rng(seed)
+    v, g = np.ldexp(rng.normal(size=(f, n)), max(-e, 0)), rng.normal(size=(f, n))
+    want = abs_normalize_vjp(v, g)
+    smaller = np.abs(want) if e < 0 else np.abs(np.ldexp(want, -e))
+    assume(np.all((smaller == 0.0) | (smaller >= np.finfo(np.float64).tiny)))
+    got = np.ldexp(abs_normalize_vjp(np.ldexp(v, e), g), e)
+    assert got.tobytes() == want.tobytes()
+
+
 @settings(deadline=None, max_examples=25)
 @given(seed=st.integers(0, 2**31), f=st.integers(1, 3), n=st.integers(2, 16))
 def test_tape_clamp_gradients_away_from_boundaries(seed, f, n):
