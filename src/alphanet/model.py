@@ -470,8 +470,8 @@ def fit(model: AlphaModel, ds: FeatureDataset, cfg: RunConfig, on_epoch=None) ->
 
     `cfg` is validated first. Of its settings, `fit` reads `epochs`, `lr0`,
     `momentum`, `batch_size`, `seed` and `weight_decay`; the model carries
-    its own. The learning rate decays by 0.1 every 20 epochs; a schedule that reaches
-    0 by its last epoch is a ConfigError. The per-epoch log
+    its own. The learning rate decays by 0.1 every 20 epochs; a schedule
+    that reaches 0 by its last epoch is a ConfigError. The per-epoch log
     records mean training loss, the learning rate, and validation top-1/top-5
     for each split. A non-finite loss is a TrainingError naming its epoch and
     batch, and a non-finite few-class validation score one naming its epoch.

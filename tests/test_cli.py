@@ -719,7 +719,10 @@ def _datagen_flags(draw):
     defaults, so that one bad value is not hidden behind another."""
     chosen = draw(st.lists(st.sampled_from(fields(GenConfig)), min_size=1, max_size=3,
                            unique_by=lambda f: f.name))
-    return [f"--{f.name.replace('_', '-')}={draw(_setting_value(f, DATAGEN_SIZE_BOUNDS))}" for f in chosen]
+    return [
+        f"--{f.name.replace('_', '-')}={draw(_setting_value(f, DATAGEN_SIZE_BOUNDS))}"
+        for f in chosen
+    ]
 
 
 class _ExampleTimeout(Exception):
@@ -857,14 +860,22 @@ def test_sweep_exit_code_contract(pipeline, drawn):
 
 
 #: Largest value drawn for each `train` setting that sizes the work: at most
-#: one epoch, and at most 64 hidden units (an fc1 stack of 64 x 24 per few
-#: class at the base flags' top K 2 and reduced dim 4). Every other setting
-#: is drawn unbounded: the fixture's 7 base classes and 6 feature dims refuse
-#: a larger `top_k` or `reduced_dim` before any array is sized.
+#: one epoch, and at most 64 hidden units (an fc1 stack of at most 64 x 48
+#: per few class, at top K 7 and reduced dim 6). Every other setting is
+#: drawn unbounded: the fixture's 7 base classes and 6 feature dims refuse a
+#: larger `top_k` or `reduced_dim` before any array is sized.
 TRAIN_SIZE_BOUNDS = {"epochs": 1, "hidden": 64}
 
 #: The `RunConfig` fields that name files, which the test sets itself.
 TRAIN_PATHS = {"dataset", "bank", "out_dir"}
+
+
+def _assert_finite_train_outputs(out: Path, bank: Path) -> None:
+    """The model and composed bank that `train` wrote to `out` are finite."""
+    model = load_model(out / "model.json", load_bank(bank))
+    composed = load_bank(out / "composed.json")
+    for tensor in (model.flat_params, composed.weights, composed.biases):
+        assert np.isfinite(tensor).all()
 
 
 @st.composite
@@ -912,10 +923,7 @@ def test_train_exit_code_contract(pipeline, flags):
         assert not caught, [str(w.message) for w in caught]
         if rc == 0:
             assert err.getvalue() == ""
-            model = load_model(out / "model.json", load_bank(bank))
-            composed = load_bank(out / "composed.json")
-            for tensor in (model.flat_params, composed.weights, composed.biases):
-                assert np.isfinite(tensor).all()
+            _assert_finite_train_outputs(out, bank)
         else:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), lines
@@ -936,10 +944,7 @@ def test_train_at_the_largest_init_gain_writes_finite_tensors(pipeline, tmp_path
         "--out-dir", str(out), "--init-gain", "1e308", "--batch-size", "8", *TRAIN_SMALL,
     ]) == 0
     assert capsys.readouterr().err == ""
-    model = load_model(out / "model.json", load_bank(bank))
-    composed = load_bank(out / "composed.json")
-    for tensor in (model.flat_params, composed.weights, composed.biases):
-        assert np.isfinite(tensor).all()
+    _assert_finite_train_outputs(out, bank)
 
 
 def test_exit_2_for_corrupt_tensor_file(pipeline, tmp_path, capsys):
